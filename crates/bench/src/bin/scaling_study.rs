@@ -103,10 +103,6 @@ fn parse_widths(args: &[String]) -> Result<Vec<usize>, String> {
 }
 
 fn main() -> ExitCode {
-    // The study varies the width via `ThreadPoolBuilder`; a pinned
-    // `HPCEVAL_THREADS` would override every request (by design), so
-    // clear it before the executor reads it.
-    std::env::remove_var("HPCEVAL_THREADS");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let widths = match parse_widths(&args) {
         Ok(w) => w,

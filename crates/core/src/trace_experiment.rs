@@ -103,8 +103,8 @@ mod sizes {
 /// size and return its trace. `None` only when `config.mode` is
 /// [`hpceval_trace::TraceMode::Off`].
 ///
-/// Capture sessions are globally serialized (the recorder is a process
-/// singleton), so concurrent callers queue rather than interleave.
+/// The capture covers only the kernel run on the calling thread, so
+/// concurrent callers on other threads capture independently.
 pub fn capture_kernel(region: Region, config: CaptureConfig) -> Option<Trace> {
     let guard = CaptureGuard::start(region, config)?;
     run_kernel(region);

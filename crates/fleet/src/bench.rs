@@ -1,4 +1,4 @@
-//! The `fleet_bench` sustained-load harness: many clients hammering a
+//! The `hpceval fleet bench` sustained-load harness: many clients hammering a
 //! sharded fleet through the router, measuring front-end round-trip
 //! latency and throughput.
 //!
@@ -17,8 +17,8 @@
 //! # What it records
 //!
 //! Per-operation wall latency (client-side, connect excluded) merged
-//! across clients into p50/p99, plus aggregate ops/s. `fleet_bench`
-//! writes these into `BENCH_fleet.json`; CI re-runs a scaled-down load
+//! across clients into p50/p99, plus aggregate ops/s. `hpceval fleet
+//! bench` prints these in the `BENCH_fleet.json` format; CI re-runs a scaled-down load
 //! and fails on drift beyond `--tolerance`, exactly like the
 //! `BENCH_kernels.json` gate: latencies regress *upward*, throughput
 //! regresses *downward*, and metric-set drift fails both ways.
@@ -298,7 +298,7 @@ pub fn parse_baseline(json: &str) -> Result<BTreeMap<String, BTreeMap<String, f6
     let Some(configs) = v.get("configs") else {
         if v.get("metrics").is_some() {
             return Err("legacy single-config baseline (top-level `metrics`) — regenerate it \
-                        with `fleet bench --json` to get the per-configuration suite format"
+                        with `hpceval fleet bench > BENCH_fleet.json` to get the per-configuration suite format"
                 .to_string());
         }
         return Err("baseline has no `configs` object".to_string());

@@ -48,7 +48,7 @@ use crate::wire::{self, Request};
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker-pool width (0: the rayon default, i.e. the
-    /// `HPCEVAL_THREADS` pin or the machine's parallelism).
+    /// `HPCEVAL_THREADS` default or the machine's parallelism).
     pub workers: usize,
     /// Maximum live (non-terminal) jobs; submits beyond it are pushed
     /// back with a retry hint.

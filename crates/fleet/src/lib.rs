@@ -33,7 +33,7 @@
 //!   shard, many in-flight tagged requests per socket, per-socket
 //!   backpressure caps — and merges status/ranking responses; a dead
 //!   shard's WAL replays into a replacement bitwise.
-//! - **Sustained-load gate** ([`bench`]): the `fleet_bench` harness
+//! - **Sustained-load gate** ([`bench`]): the `hpceval fleet bench` harness
 //!   drives ≥1 M submit/status round-trips through the router across a
 //!   shard-count sweep (2/4/8) and records p50/p99 latency + ops/s per
 //!   configuration into `BENCH_fleet.json`, drift-checked in CI.

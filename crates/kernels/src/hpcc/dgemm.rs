@@ -75,14 +75,13 @@ impl DgemmWorkspace {
 
     /// Pack `b` (row-major `n×n`) into the tile layout. Parallel over
     /// tile rows — disjoint writes, so width-invariant.
-    fn pack_b(&mut self, b: &[f64]) {
+    fn pack_b(&mut self, b: &[f64], tracer: &hooks::Tracer) {
         let n = self.n;
         let TilePlan { kc, nc, .. } = self.plan;
         let slot = self.plan.tile_elems();
         let jtiles = self.jtiles;
         self.packed.par_chunks_mut(jtiles * slot).enumerate().for_each(|(tk, strip)| {
-            let chunk = TRACE_PACK_CHUNK + tk as u64;
-            let tr = hooks::chunk_enabled(Region::Dgemm, chunk);
+            let tr = tracer.chunk(TRACE_PACK_CHUNK + tk as u64);
             let kb = tk * kc;
             let kw = kc.min(n - kb);
             for (tj, tile) in strip.chunks_mut(slot).enumerate() {
@@ -91,13 +90,11 @@ impl DgemmWorkspace {
                 for (kk, trow) in tile.chunks_mut(jw).take(kw).enumerate() {
                     let src = (kb + kk) * n + jb;
                     trow.copy_from_slice(&b[src..src + jw]);
-                    if tr {
+                    if let Some(tr) = &tr {
                         let dst = (tk * jtiles + tj) * slot + kk * jw;
-                        let r = Region::Dgemm;
                         let w = jw as u32;
-                        hooks::record(r, chunk, AccessKind::Read, TRACE_B + (src * 8) as u64, 8, w);
-                        let at = TRACE_PACKED + (dst * 8) as u64;
-                        hooks::record(r, chunk, AccessKind::Write, at, 8, w);
+                        tr.record(AccessKind::Read, TRACE_B + (src * 8) as u64, 8, w);
+                        tr.record(AccessKind::Write, TRACE_PACKED + (dst * 8) as u64, 8, w);
                     }
                 }
             }
@@ -168,25 +165,25 @@ pub fn dgemm_with(
     // Resolve the SIMD path once on the caller's thread and capture it
     // into the parallel closure (workers never consult the mode).
     let m = simd::mode();
+    let tracer = hooks::current(Region::Dgemm);
     // Pack and panel phases get separate trace epochs: repeated dgemm
     // calls reuse the same chunk ids, and within one call the pack
     // happens before the panels even though its ids sort after them.
-    hooks::begin_epoch(Region::Dgemm);
-    ws.pack_b(b);
+    tracer.begin_epoch();
+    ws.pack_b(b, &tracer);
     let ws = &*ws;
     let TilePlan { mc, kc, nc } = ws.plan;
-    hooks::begin_epoch(Region::Dgemm);
+    tracer.begin_epoch();
     c.par_chunks_mut(n * mc.max(1)).enumerate().for_each(|(panel, cpanel)| {
-        let chunk = panel as u64;
-        let tr = hooks::chunk_enabled(Region::Dgemm, chunk);
+        let tr = tracer.chunk(panel as u64);
         let r0 = panel * mc;
         let rows = cpanel.len() / n;
         // Scale the C panel by beta once.
         simd::scale_in_place(m, cpanel, beta);
-        if tr {
+        if let Some(tr) = &tr {
             let at = TRACE_C + (r0 * n * 8) as u64;
-            hooks::record(Region::Dgemm, chunk, AccessKind::Read, at, 8, (rows * n) as u32);
-            hooks::record(Region::Dgemm, chunk, AccessKind::Write, at, 8, (rows * n) as u32);
+            tr.record(AccessKind::Read, at, 8, (rows * n) as u32);
+            tr.record(AccessKind::Write, at, 8, (rows * n) as u32);
         }
         let mut kb = 0;
         let mut tk = 0;
@@ -197,21 +194,20 @@ pub fn dgemm_with(
             while jb < n {
                 let jw = nc.min(n - jb);
                 let bt = ws.tile(tk, tj, kw, jw);
-                if tr {
+                if let Some(tr) = &tr {
                     let at =
                         TRACE_PACKED + ((tk * ws.jtiles + tj) * ws.plan.tile_elems() * 8) as u64;
-                    hooks::record(Region::Dgemm, chunk, AccessKind::Read, at, 8, (kw * jw) as u32);
+                    tr.record(AccessKind::Read, at, 8, (kw * jw) as u32);
                 }
                 for r in 0..rows {
                     let arow = &a[(r0 + r) * n + kb..(r0 + r) * n + kb + kw];
                     let crow = &mut cpanel[r * n + jb..r * n + jb + jw];
-                    if tr {
-                        let rg = Region::Dgemm;
+                    if let Some(tr) = &tr {
                         let a_at = TRACE_A + (((r0 + r) * n + kb) * 8) as u64;
                         let c_at = TRACE_C + (((r0 + r) * n + jb) * 8) as u64;
-                        hooks::record(rg, chunk, AccessKind::Read, a_at, 8, kw as u32);
-                        hooks::record(rg, chunk, AccessKind::Read, c_at, 8, jw as u32);
-                        hooks::record(rg, chunk, AccessKind::Write, c_at, 8, jw as u32);
+                        tr.record(AccessKind::Read, a_at, 8, kw as u32);
+                        tr.record(AccessKind::Read, c_at, 8, jw as u32);
+                        tr.record(AccessKind::Write, c_at, 8, jw as u32);
                     }
                     simd::tile_row_update(m, crow, bt, arow, alpha);
                 }

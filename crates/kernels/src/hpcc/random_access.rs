@@ -72,7 +72,8 @@ pub fn run(log2_table: u32, updates: u64, seed: u64) -> Vec<u64> {
     let size = 1usize << log2_table;
     let mask = (size - 1) as u64;
     // One epoch per run so back-to-back runs stay distinct in the trace.
-    hooks::begin_epoch(Region::RandomAccess);
+    let tracer = hooks::current(Region::RandomAccess);
+    tracer.begin_epoch();
     let mut table: Vec<u64> = (0..size as u64).collect();
     let mut rng = GupsRng(seed | 1);
     let mut done = 0u64;
@@ -87,14 +88,14 @@ pub fn run(log2_table: u32, updates: u64, seed: u64) -> Vec<u64> {
             let idx = (r & mask) as usize;
             table[idx] ^= r;
         }
-        if hooks::chunk_enabled(Region::RandomAccess, block) {
+        if let Some(tr) = tracer.chunk(block) {
             let mut replay = snapshot;
             for j in 0..count {
                 let r = replay.next();
                 if j % TRACE_UPDATE_SUBSAMPLE == 0 {
                     let at = TRACE_TABLE + (r & mask) * 8;
-                    hooks::record(Region::RandomAccess, block, AccessKind::Read, at, 0, 1);
-                    hooks::record(Region::RandomAccess, block, AccessKind::Write, at, 0, 1);
+                    tr.record(AccessKind::Read, at, 0, 1);
+                    tr.record(AccessKind::Write, at, 0, 1);
                 }
             }
         }

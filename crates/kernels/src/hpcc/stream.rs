@@ -70,19 +70,19 @@ impl StreamOutcome {
 pub fn run(n: usize, reps: u32) -> StreamOutcome {
     let scalar = 3.0;
     let m = simd::mode();
+    let tracer = hooks::current(Region::Stream);
     let mut a = vec![1.0f64; n];
     let mut b = vec![2.0f64; n];
     let mut c = vec![0.0f64; n];
     // Per-span trace burst: `srcs` read then `dst` written, all
-    // unit-stride doubles. One enabled() branch per span when untraced.
+    // unit-stride doubles. One branch per span when untraced.
     let trace = |i: usize, len: usize, srcs: &[u64], dst: u64| {
-        let chunk = i as u64;
-        if hooks::chunk_enabled(Region::Stream, chunk) {
+        if let Some(tr) = tracer.chunk(i as u64) {
             let off = (i * SPAN * 8) as u64;
             for &s in srcs {
-                hooks::record(Region::Stream, chunk, AccessKind::Read, s + off, 8, len as u32);
+                tr.record(AccessKind::Read, s + off, 8, len as u32);
             }
-            hooks::record(Region::Stream, chunk, AccessKind::Write, dst + off, 8, len as u32);
+            tr.record(AccessKind::Write, dst + off, 8, len as u32);
         }
     };
     for _ in 0..reps {
@@ -90,7 +90,7 @@ pub fn run(n: usize, reps: u32) -> StreamOutcome {
         // rep) revisit the same spans, so without the epoch boundary
         // their bursts would collapse into one ring per span.
         // Copy: c = a (pure data movement; memcpy per span).
-        hooks::begin_epoch(Region::Stream);
+        tracer.begin_epoch();
         c.par_chunks_mut(SPAN)
             .enumerate()
             .zip(a.par_chunks(SPAN))
@@ -99,7 +99,7 @@ pub fn run(n: usize, reps: u32) -> StreamOutcome {
                 cv.copy_from_slice(av)
             });
         // Scale: b = scalar * c.
-        hooks::begin_epoch(Region::Stream);
+        tracer.begin_epoch();
         b.par_chunks_mut(SPAN)
             .enumerate()
             .zip(c.par_chunks(SPAN))
@@ -108,7 +108,7 @@ pub fn run(n: usize, reps: u32) -> StreamOutcome {
                 simd::scale(m, bv, cv, scalar)
             });
         // Add: c = a + b.
-        hooks::begin_epoch(Region::Stream);
+        tracer.begin_epoch();
         c.par_chunks_mut(SPAN)
             .enumerate()
             .zip(a.par_chunks(SPAN).zip(b.par_chunks(SPAN)))
@@ -117,7 +117,7 @@ pub fn run(n: usize, reps: u32) -> StreamOutcome {
                 simd::add(m, cv, av, bv)
             });
         // Triad: a = b + scalar * c.
-        hooks::begin_epoch(Region::Stream);
+        tracer.begin_epoch();
         a.par_chunks_mut(SPAN)
             .enumerate()
             .zip(b.par_chunks(SPAN).zip(c.par_chunks(SPAN)))

@@ -17,7 +17,7 @@ use crate::simd;
 // Logical trace addresses: the whole factorization works one row-major
 // matrix, so a single base suffices; element (r, c) maps to
 // `TRACE_MAT + (r·n + c)·8`. Chunk ids: each panel iteration is its own
-// epoch ([`hooks::begin_epoch`] at the serial top of the loop), within
+// epoch (`Tracer::begin_epoch` at the serial top of the loop), within
 // which the serial panel and U-row phases use fixed phase ids and the
 // parallel trailing update uses the updated row's matrix index — a
 // width-invariant id even though the band decomposition is sized to the
@@ -125,14 +125,16 @@ pub fn factor(mut a: Matrix, nb: usize, threads: usize) -> Result<LuFactors, LuE
         .build()
         .expect("failed to build rayon pool");
 
+    let tracer = hooks::current(Region::Hpl);
+
     pool.install(|| {
         let mut k = 0;
         while k < n {
             // Serial point: one epoch per panel iteration, so repeated
             // phase chunk ids never collide across iterations.
-            hooks::begin_epoch(Region::Hpl);
+            tracer.begin_epoch();
             let kb = nb.min(n - k);
-            let tr = hooks::chunk_enabled(Region::Hpl, TRACE_PANEL_CHUNK);
+            let tr = tracer.chunk(TRACE_PANEL_CHUNK);
             // --- Panel factorization (columns k..k+kb), unblocked. ---
             for j in k..k + kb {
                 // Find pivot in column j at/below row j.
@@ -160,21 +162,18 @@ pub fn factor(mut a: Matrix, nb: usize, threads: usize) -> Result<LuFactors, LuE
                         a.set(r, c, v);
                     }
                 }
-                if tr {
-                    let rg = Region::Hpl;
-                    let ch = TRACE_PANEL_CHUNK;
+                if let Some(tr) = &tr {
                     let stride = (n * 8) as u32;
                     // Pivot search walks column j, the scaling writes it
                     // back below the diagonal, and the panel update
                     // re-reads pivot row j across the panel width.
                     let col = TRACE_MAT + ((j * n + j) * 8) as u64;
-                    hooks::record(rg, ch, AccessKind::Read, col, stride, (n - j) as u32);
+                    tr.record(AccessKind::Read, col, stride, (n - j) as u32);
                     if j + 1 < n {
                         let below = TRACE_MAT + (((j + 1) * n + j) * 8) as u64;
-                        hooks::record(rg, ch, AccessKind::Write, below, stride, (n - j - 1) as u32);
+                        tr.record(AccessKind::Write, below, stride, (n - j - 1) as u32);
                     }
-                    let prow = TRACE_MAT + ((j * n + j) * 8) as u64;
-                    hooks::record(rg, ch, AccessKind::Read, prow, 8, (k + kb - j) as u32);
+                    tr.record(AccessKind::Read, col, 8, (k + kb - j) as u32);
                 }
             }
 
@@ -182,27 +181,13 @@ pub fn factor(mut a: Matrix, nb: usize, threads: usize) -> Result<LuFactors, LuE
             if end < n {
                 // --- U block row: solve L11 · U12 = A12 (unit lower). ---
                 let m = simd::mode();
-                let tru = hooks::chunk_enabled(Region::Hpl, TRACE_UROW_CHUNK);
+                let tru = tracer.chunk(TRACE_UROW_CHUNK);
+                let w = (n - end) as u32;
                 for j in k..end {
-                    if tru {
-                        let rg = Region::Hpl;
+                    if let Some(tru) = &tru {
                         let rj = TRACE_MAT + ((j * n + end) * 8) as u64;
-                        hooks::record(
-                            rg,
-                            TRACE_UROW_CHUNK,
-                            AccessKind::Read,
-                            rj,
-                            8,
-                            (n - end) as u32,
-                        );
-                        hooks::record(
-                            rg,
-                            TRACE_UROW_CHUNK,
-                            AccessKind::Write,
-                            rj,
-                            8,
-                            (n - end) as u32,
-                        );
+                        tru.record(AccessKind::Read, rj, 8, w);
+                        tru.record(AccessKind::Write, rj, 8, w);
                     }
                     for r in k..j {
                         let mult = a.get(j, r);
@@ -214,17 +199,9 @@ pub fn factor(mut a: Matrix, nb: usize, threads: usize) -> Result<LuFactors, LuE
                             let rowr = &head[r * n + end..r * n + n];
                             let rowj = &mut rest[end..n];
                             simd::axpy(m, rowj, rowr, -mult);
-                            if tru {
+                            if let Some(tru) = &tru {
                                 let ra = TRACE_MAT + ((r * n + end) * 8) as u64;
-                                let w = (n - end) as u32;
-                                hooks::record(
-                                    Region::Hpl,
-                                    TRACE_UROW_CHUNK,
-                                    AccessKind::Read,
-                                    ra,
-                                    8,
-                                    w,
-                                );
+                                tru.record(AccessKind::Read, ra, 8, w);
                             }
                         }
                     }
@@ -260,6 +237,7 @@ pub fn trailing_update(tail: &mut [f64], u12: &[f64], n: usize, k: usize, end: u
     assert_eq!(tail.len() % n.max(1), 0, "tail must hold whole rows");
     assert_eq!(u12.len(), (end - k) * n, "u12 must hold rows k..end");
     let m = simd::mode();
+    let tracer = hooks::current(Region::Hpl);
     let rows = tail.len() / n.max(1);
     let band = rows.div_ceil(4 * rayon::current_num_threads()).max(1);
     tail.par_chunks_mut(n * band).enumerate().for_each(|(bi, bandrows)| {
@@ -268,20 +246,18 @@ pub fn trailing_update(tail: &mut [f64], u12: &[f64], n: usize, k: usize, end: u
             // decomposition is pool-shaped, but `bi·band + ri` is the
             // row's absolute position in `tail` at any width.
             let grow = end + bi * band + ri;
-            if hooks::chunk_enabled(Region::Hpl, grow as u64) {
-                let rg = Region::Hpl;
-                let ch = grow as u64;
+            if let Some(tr) = tracer.chunk(grow as u64) {
                 // One GEMM row: the fixed L21 multipliers, every U12
                 // row streamed against it, and the updated row segment.
                 let lrow = TRACE_MAT + ((grow * n + k) * 8) as u64;
-                hooks::record(rg, ch, AccessKind::Read, lrow, 8, (end - k) as u32);
+                tr.record(AccessKind::Read, lrow, 8, (end - k) as u32);
                 for ur in k..end {
                     let ua = TRACE_MAT + ((ur * n + end) * 8) as u64;
-                    hooks::record(rg, ch, AccessKind::Read, ua, 8, (n - end) as u32);
+                    tr.record(AccessKind::Read, ua, 8, (n - end) as u32);
                 }
                 let ca = TRACE_MAT + ((grow * n + end) * 8) as u64;
-                hooks::record(rg, ch, AccessKind::Read, ca, 8, (n - end) as u32);
-                hooks::record(rg, ch, AccessKind::Write, ca, 8, (n - end) as u32);
+                tr.record(AccessKind::Read, ca, 8, (n - end) as u32);
+                tr.record(AccessKind::Write, ca, 8, (n - end) as u32);
             }
             // The multipliers row[k..end] are fixed L21 entries (only
             // columns end.. are written), so pairs of U rows can stream

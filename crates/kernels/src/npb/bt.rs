@@ -149,8 +149,9 @@ impl AdiProblem {
         // line of every sweep; build the band once per step instead of
         // twice per line.
         let off_band: Vec<Mat5> = (0..n).map(|_| Mat5::scaled_identity(-self.coupling)).collect();
+        let tracer = hooks::current(Region::Bt);
         for dir in 0..3 {
-            hooks::begin_epoch(Region::Bt);
+            tracer.begin_epoch();
             let au = self.apply(u);
             // Lines: iterate over the two non-swept coordinates.
             let new_u: Vec<Vec<Vec5>> = (0..n * n)
@@ -162,8 +163,7 @@ impl AdiProblem {
                         1 => self.idx(a, k, c),
                         _ => self.idx(a, c, k),
                     };
-                    if hooks::chunk_enabled(Region::Bt, line as u64) {
-                        let ch = line as u64;
+                    if let Some(tr) = tracer.chunk(line as u64) {
                         // Per point: the dense 5×5 diagonal block (25
                         // contiguous doubles) and the three 5-vectors.
                         // The across-point jump — unit blocks in the x
@@ -173,17 +173,10 @@ impl AdiProblem {
                             let i = line_idx(k);
                             let diag_at = TRACE_DIAG + (i * MAT5_BYTES) as u64;
                             let vec_at = (i * VEC5_BYTES) as u64;
-                            hooks::record(Region::Bt, ch, AccessKind::Read, diag_at, 8, 25);
-                            hooks::record(Region::Bt, ch, AccessKind::Read, TRACE_U + vec_at, 8, 5);
-                            hooks::record(
-                                Region::Bt,
-                                ch,
-                                AccessKind::Read,
-                                TRACE_AU + vec_at,
-                                8,
-                                5,
-                            );
-                            hooks::record(Region::Bt, ch, AccessKind::Read, TRACE_B + vec_at, 8, 5);
+                            tr.record(AccessKind::Read, diag_at, 8, 25);
+                            tr.record(AccessKind::Read, TRACE_U + vec_at, 8, 5);
+                            tr.record(AccessKind::Read, TRACE_AU + vec_at, 8, 5);
+                            tr.record(AccessKind::Read, TRACE_B + vec_at, 8, 5);
                         }
                     }
                     let diag: Vec<Mat5> = (0..n).map(|k| self.diag[line_idx(k)]).collect();
@@ -220,16 +213,15 @@ impl AdiProblem {
             // Scatter the line solutions back.
             for (line, sol) in new_u.into_iter().enumerate() {
                 let (a, c) = (line % n, line / n);
-                let traced = hooks::chunk_enabled(Region::Bt, line as u64);
+                let tr = tracer.chunk(line as u64);
                 for (k, v) in sol.into_iter().enumerate() {
                     let i = match dir {
                         0 => self.idx(k, a, c),
                         1 => self.idx(a, k, c),
                         _ => self.idx(a, c, k),
                     };
-                    if traced {
-                        let at = TRACE_U + (i * VEC5_BYTES) as u64;
-                        hooks::record(Region::Bt, line as u64, AccessKind::Write, at, 8, 5);
+                    if let Some(tr) = &tr {
+                        tr.record(AccessKind::Write, TRACE_U + (i * VEC5_BYTES) as u64, 8, 5);
                     }
                     u[i] = v;
                 }

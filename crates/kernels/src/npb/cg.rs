@@ -157,7 +157,8 @@ impl SparseMatrix {
         assert_eq!(y.len(), self.n);
         // Every CG step revisits every row; the epoch keeps the per-row
         // traces of successive matvecs apart so replay sees each sweep.
-        hooks::begin_epoch(Region::Cg);
+        let tracer = hooks::current(Region::Cg);
+        tracer.begin_epoch();
         y.par_iter_mut().enumerate().for_each(|(r, out)| {
             let lo = self.row_ptr[r];
             let hi = self.row_ptr[r + 1];
@@ -169,18 +170,15 @@ impl SparseMatrix {
             // Trace the row's stream: row_ptr pair, vals/cols runs, the
             // irregular x gathers (one event each — they are what makes
             // CG the latency stressor), and the y write.
-            let chunk = r as u64;
-            if hooks::chunk_enabled(Region::Cg, chunk) {
-                let rg = Region::Cg;
+            if let Some(tr) = tracer.chunk(r as u64) {
                 let nnz = (hi - lo) as u32;
-                hooks::record(rg, chunk, AccessKind::Read, TRACE_ROWPTR + (r * 8) as u64, 8, 2);
-                hooks::record(rg, chunk, AccessKind::Read, TRACE_VALS + (lo * 8) as u64, 8, nnz);
-                hooks::record(rg, chunk, AccessKind::Read, TRACE_COLS + (lo * 4) as u64, 4, nnz);
+                tr.record(AccessKind::Read, TRACE_ROWPTR + (r * 8) as u64, 8, 2);
+                tr.record(AccessKind::Read, TRACE_VALS + (lo * 8) as u64, 8, nnz);
+                tr.record(AccessKind::Read, TRACE_COLS + (lo * 4) as u64, 4, nnz);
                 for k in lo..hi {
-                    let at = TRACE_X + u64::from(self.cols[k]) * 8;
-                    hooks::record(rg, chunk, AccessKind::Read, at, 0, 1);
+                    tr.record(AccessKind::Read, TRACE_X + u64::from(self.cols[k]) * 8, 0, 1);
                 }
-                hooks::record(rg, chunk, AccessKind::Write, TRACE_Y + (r * 8) as u64, 8, 1);
+                tr.record(AccessKind::Write, TRACE_Y + (r * 8) as u64, 8, 1);
             }
         });
     }

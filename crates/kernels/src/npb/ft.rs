@@ -143,25 +143,26 @@ pub fn fft3_with(f: &mut Field3, dir: Direction, ws: &mut FtWorkspace) {
     // Pass 1: lines along x are contiguous. Each dimension pass opens a
     // trace epoch so the sweeps stay separated in the captured stream
     // (one call transposes the same logical chunks four times).
-    hooks::begin_epoch(Region::Ft);
+    let tracer = hooks::current(Region::Ft);
+    tracer.begin_epoch();
     fft_batched_with(&ws.tw_x, &mut f.data, dir);
     // Pass 2: transpose x<->y, transform the old-y lines (now
     // contiguous), transpose back.
-    hooks::begin_epoch(Region::Ft);
-    transpose_xy_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 0);
+    tracer.begin_epoch();
+    transpose_xy_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 0, &tracer);
     std::mem::swap(&mut f.data, &mut ws.scratch);
     std::mem::swap(&mut f.nx, &mut f.ny);
     fft_batched_with(&ws.tw_y, &mut f.data, dir);
-    transpose_xy_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 1);
+    transpose_xy_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 1, &tracer);
     std::mem::swap(&mut f.data, &mut ws.scratch);
     std::mem::swap(&mut f.nx, &mut f.ny);
     // Pass 3: the same dance for x<->z.
-    hooks::begin_epoch(Region::Ft);
-    transpose_xz_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 2);
+    tracer.begin_epoch();
+    transpose_xz_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 2, &tracer);
     std::mem::swap(&mut f.data, &mut ws.scratch);
     std::mem::swap(&mut f.nx, &mut f.nz);
     fft_batched_with(&ws.tw_z, &mut f.data, dir);
-    transpose_xz_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 3);
+    transpose_xz_into(f.nx, f.ny, f.nz, &f.data, &mut ws.scratch, 3, &tracer);
     std::mem::swap(&mut f.data, &mut ws.scratch);
     std::mem::swap(&mut f.nx, &mut f.nz);
 }
@@ -180,7 +181,15 @@ fn trace_bases(phase: u64) -> (u64, u64) {
 /// Transpose the x and y axes: `dst[(z·nx + x)·ny + y] =
 /// src[(z·ny + y)·nx + x]`. Parallel over the destination's z-planes,
 /// each a tiled 2-D transpose of the matching source plane.
-fn transpose_xy_into(nx: usize, ny: usize, nz: usize, src: &[C64], dst: &mut [C64], phase: u64) {
+fn transpose_xy_into(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    src: &[C64],
+    dst: &mut [C64],
+    phase: u64,
+    tracer: &hooks::Tracer,
+) {
     debug_assert_eq!(src.len(), nx * ny * nz);
     debug_assert_eq!(dst.len(), nx * ny * nz);
     dst.par_chunks_mut(nx * ny).enumerate().for_each(|(z, plane)| {
@@ -189,27 +198,12 @@ fn transpose_xy_into(nx: usize, ny: usize, nz: usize, src: &[C64], dst: &mut [C6
         // permutation is cache-blocked, so plane granularity is the
         // honest level). The chunk id is a pure function of (phase, z),
         // never of which worker ran the plane.
-        let chunk = (phase << 32) | z as u64;
-        if hooks::chunk_enabled(Region::Ft, chunk) {
+        if let Some(tr) = tracer.chunk((phase << 32) | z as u64) {
             let (src_base, dst_base) = trace_bases(phase);
             let plane_bytes = (nx * ny * 16) as u32;
             let off = (z as u64) * u64::from(plane_bytes);
-            hooks::record(
-                Region::Ft,
-                chunk,
-                AccessKind::Read,
-                src_base + off,
-                16,
-                plane_bytes / 16,
-            );
-            hooks::record(
-                Region::Ft,
-                chunk,
-                AccessKind::Write,
-                dst_base + off,
-                16,
-                plane_bytes / 16,
-            );
+            tr.record(AccessKind::Read, src_base + off, 16, plane_bytes / 16);
+            tr.record(AccessKind::Write, dst_base + off, 16, plane_bytes / 16);
         }
         // plane[x·ny + y] = src[z·nx·ny + y·nx + x]
         transpose_tiles(src, z * nx * ny, nx, plane, 0, ny, ny, nx, |d, s| *d = s);
@@ -219,7 +213,15 @@ fn transpose_xy_into(nx: usize, ny: usize, nz: usize, src: &[C64], dst: &mut [C6
 /// Transpose the x and z axes: `dst[(x·ny + y)·nz + z] =
 /// src[(z·ny + y)·nx + x]`. Parallel over x-bands of the destination;
 /// within a band, each y gives a strided 2-D transpose over (z, x).
-fn transpose_xz_into(nx: usize, ny: usize, nz: usize, src: &[C64], dst: &mut [C64], phase: u64) {
+fn transpose_xz_into(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    src: &[C64],
+    dst: &mut [C64],
+    phase: u64,
+    tracer: &hooks::Tracer,
+) {
     debug_assert_eq!(src.len(), nx * ny * nz);
     debug_assert_eq!(dst.len(), nx * ny * nz);
     dst.par_chunks_mut(TILE * ny * nz).enumerate().for_each(|(band, chunk)| {
@@ -230,29 +232,14 @@ fn transpose_xz_into(nx: usize, ny: usize, nz: usize, src: &[C64], dst: &mut [C6
         // the reads as one large-stride descriptor per plane (a row
         // start per y; the band's rows are nx elements apart) and the
         // writes as the band's contiguous destination stream.
-        let trace_chunk = (phase << 32) | band as u64;
-        if hooks::chunk_enabled(Region::Ft, trace_chunk) {
+        if let Some(tr) = tracer.chunk((phase << 32) | band as u64) {
             let (src_base, dst_base) = trace_bases(phase);
             for z in 0..nz {
                 let off = ((z * ny * nx + x0) * 16) as u64;
-                hooks::record(
-                    Region::Ft,
-                    trace_chunk,
-                    AccessKind::Read,
-                    src_base + off,
-                    (nx * 16) as u32,
-                    ny as u32,
-                );
+                tr.record(AccessKind::Read, src_base + off, (nx * 16) as u32, ny as u32);
             }
             let off = (x0 * ny * nz * 16) as u64;
-            hooks::record(
-                Region::Ft,
-                trace_chunk,
-                AccessKind::Write,
-                dst_base + off,
-                16,
-                chunk.len() as u32,
-            );
+            tr.record(AccessKind::Write, dst_base + off, 16, chunk.len() as u32);
         }
         for y in 0..ny {
             // chunk[(dx·ny + y)·nz + z] = src[z·nx·ny + y·nx + x0 + dx]
@@ -397,7 +384,7 @@ mod tests {
         let (nx, ny, nz) = (8, 4, 2);
         let f = Field3::random(nx, ny, nz, 3);
         let mut t = vec![C64::default(); f.data.len()];
-        transpose_xy_into(nx, ny, nz, &f.data, &mut t, 0);
+        transpose_xy_into(nx, ny, nz, &f.data, &mut t, 0, &hooks::current(Region::Ft));
         for z in 0..nz {
             for y in 0..ny {
                 for x in 0..nx {
@@ -406,7 +393,7 @@ mod tests {
             }
         }
         let mut back = vec![C64::default(); f.data.len()];
-        transpose_xy_into(ny, nx, nz, &t, &mut back, 1);
+        transpose_xy_into(ny, nx, nz, &t, &mut back, 1, &hooks::current(Region::Ft));
         assert_eq!(f.data, back);
     }
 
@@ -417,7 +404,7 @@ mod tests {
         let (nx, ny, nz) = (8, 3, 5);
         let f = Field3::random(nx, ny, nz, 3);
         let mut t = vec![C64::default(); f.data.len()];
-        transpose_xz_into(nx, ny, nz, &f.data, &mut t, 2);
+        transpose_xz_into(nx, ny, nz, &f.data, &mut t, 2, &hooks::current(Region::Ft));
         for z in 0..nz {
             for y in 0..ny {
                 for x in 0..nx {
@@ -426,7 +413,7 @@ mod tests {
             }
         }
         let mut back = vec![C64::default(); f.data.len()];
-        transpose_xz_into(nz, ny, nx, &t, &mut back, 3);
+        transpose_xz_into(nz, ny, nx, &t, &mut back, 3, &hooks::current(Region::Ft));
         assert_eq!(f.data, back);
     }
 
@@ -436,7 +423,7 @@ mod tests {
         let (nx, ny, nz) = (64, 4, 8);
         let f = Field3::random(nx, ny, nz, 11);
         let mut t = vec![C64::default(); f.data.len()];
-        transpose_xz_into(nx, ny, nz, &f.data, &mut t, 2);
+        transpose_xz_into(nx, ny, nz, &f.data, &mut t, 2, &hooks::current(Region::Ft));
         for z in 0..nz {
             for y in 0..ny {
                 for x in 0..nx {

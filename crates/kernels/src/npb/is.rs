@@ -81,7 +81,8 @@ pub fn rank_keys(keys: &[u32], max_key: u32) -> Vec<u32> {
     let buckets = max_key as usize;
     // One epoch per ranking pass so back-to-back calls stay distinct
     // in the trace.
-    hooks::begin_epoch(Region::Is);
+    let tracer = hooks::current(Region::Is);
+    tracer.begin_epoch();
     let histogram = keys
         .par_chunks(HIST_CHUNK)
         .enumerate()
@@ -93,15 +94,13 @@ pub fn rank_keys(keys: &[u32], max_key: u32) -> Vec<u32> {
             // Trace the chunk's stream: the keys read sequentially,
             // then a 1-in-64 subsample of the histogram's scattered
             // read-modify-writes.
-            let chunk = i as u64;
-            if hooks::chunk_enabled(Region::Is, chunk) {
-                let rg = Region::Is;
+            if let Some(tr) = tracer.chunk(i as u64) {
                 let at = TRACE_KEYS + (i * HIST_CHUNK * 4) as u64;
-                hooks::record(rg, chunk, AccessKind::Read, at, 4, part.len() as u32);
+                tr.record(AccessKind::Read, at, 4, part.len() as u32);
                 for &k in part.iter().step_by(TRACE_HIST_SUBSAMPLE) {
                     let at = TRACE_HIST + u64::from(k) * 4;
-                    hooks::record(rg, chunk, AccessKind::Read, at, 0, 1);
-                    hooks::record(rg, chunk, AccessKind::Write, at, 0, 1);
+                    tr.record(AccessKind::Read, at, 0, 1);
+                    tr.record(AccessKind::Write, at, 0, 1);
                 }
             }
             h

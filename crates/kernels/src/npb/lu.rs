@@ -155,15 +155,16 @@ impl SsorProblem {
         let mut idx: Vec<usize> = Vec::with_capacity(n * n);
         let mut val: Vec<Vec5> = vec![[0.0; 5]; n * n];
         let kmax = 3 * (n - 1);
+        let tracer = hooks::current(Region::Lu);
         // Lower-triangular sweep (Gauss-Seidel with fresh lower points).
-        hooks::begin_epoch(Region::Lu);
+        tracer.begin_epoch();
         for k in 0..=kmax {
-            self.relax_plane(u, b, k, omega, &mut idx, &mut val);
+            self.relax_plane(u, b, k, omega, &mut idx, &mut val, &tracer);
         }
         // Upper-triangular sweep.
-        hooks::begin_epoch(Region::Lu);
+        tracer.begin_epoch();
         for k in (0..=kmax).rev() {
-            self.relax_plane(u, b, k, omega, &mut idx, &mut val);
+            self.relax_plane(u, b, k, omega, &mut idx, &mut val, &tracer);
         }
     }
 
@@ -171,20 +172,17 @@ impl SsorProblem {
     /// `u` stencil (one strided read per axis covering the present
     /// neighbours), the right-hand side, and the cached diagonal
     /// inverse. Reads only — the scatter loop records the write.
-    fn trace_point(&self, i: usize) {
+    fn trace_point(&self, tr: &hooks::ChunkRecorder<'_>, i: usize) {
         let n = self.n;
         let (x, y, z) = (i % n, (i / n) % n, i / (n * n));
-        let ch = i as u64;
-        let dinv_at = TRACE_DINV + (i * MAT5_BYTES) as u64;
-        hooks::record(Region::Lu, ch, AccessKind::Read, dinv_at, 8, 25);
-        let b_at = TRACE_B + (i * VEC5_BYTES) as u64;
-        hooks::record(Region::Lu, ch, AccessKind::Read, b_at, 8, 5);
+        tr.record(AccessKind::Read, TRACE_DINV + (i * MAT5_BYTES) as u64, 8, 25);
+        tr.record(AccessKind::Read, TRACE_B + (i * VEC5_BYTES) as u64, 8, 5);
         for (coord, step) in [(x, 1), (y, n), (z, n * n)] {
             let lo = if coord > 0 { i - step } else { i };
             let hi = if coord + 1 < n { i + step } else { i };
             let count = ((hi - lo) / step + 1) as u32;
             let at = TRACE_U + (lo * VEC5_BYTES) as u64;
-            hooks::record(Region::Lu, ch, AccessKind::Read, at, (step * VEC5_BYTES) as u32, count);
+            tr.record(AccessKind::Read, at, (step * VEC5_BYTES) as u32, count);
         }
     }
 
@@ -192,6 +190,7 @@ impl SsorProblem {
     /// indices, compute all new values in parallel against the frozen
     /// `u`, then scatter serially. Computing into `val` first keeps the
     /// parallel stage free of writes to `u` (no unsafe scatter needed).
+    #[allow(clippy::too_many_arguments)] // the sweep's scratch and trace scope
     fn relax_plane(
         &self,
         u: &mut [Vec5],
@@ -200,6 +199,7 @@ impl SsorProblem {
         omega: f64,
         idx: &mut Vec<usize>,
         val: &mut [Vec5],
+        tracer: &hooks::Tracer,
     ) {
         let n = self.n;
         idx.clear();
@@ -213,16 +213,20 @@ impl SsorProblem {
         {
             let u_read: &[Vec5] = u;
             val[..m].par_iter_mut().zip(&idx[..m]).for_each(|(slot, &i)| {
-                if hooks::chunk_enabled(Region::Lu, i as u64) {
-                    self.trace_point(i);
+                if let Some(tr) = tracer.chunk(i as u64) {
+                    self.trace_point(&tr, i);
                 }
                 *slot = self.relaxed_value(u_read, b, i, omega);
             });
         }
         for (&i, v) in idx.iter().zip(&val[..m]) {
-            if hooks::chunk_enabled(Region::Lu, i as u64) {
-                let at = TRACE_U + (i * VEC5_BYTES) as u64;
-                hooks::record(Region::Lu, i as u64, AccessKind::Write, at, VEC5_BYTES as u32, 1);
+            if let Some(tr) = tracer.chunk(i as u64) {
+                tr.record(
+                    AccessKind::Write,
+                    TRACE_U + (i * VEC5_BYTES) as u64,
+                    VEC5_BYTES as u32,
+                    1,
+                );
             }
             u[i] = *v;
         }

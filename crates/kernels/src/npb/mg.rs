@@ -109,7 +109,8 @@ pub fn residual(u: &Grid, v: &Grid, out: &mut Grid) {
     let m = simd::mode();
     // A V-cycle hits each level's planes several times (and cycles
     // repeat); the epoch separates the sweeps in the trace.
-    hooks::begin_epoch(Region::Mg);
+    let tracer = hooks::current(Region::Mg);
+    tracer.begin_epoch();
     out.data.par_chunks_mut(n * n).enumerate().for_each(|(z, plane)| {
         let zm = (z + n - 1) % n;
         let zp = (z + 1) % n;
@@ -117,17 +118,15 @@ pub fn residual(u: &Grid, v: &Grid, out: &mut Grid) {
         // Trace the plane's stream: v and the three u planes read,
         // the out plane written. Unit-stride doubles; one branch per
         // plane when untraced.
-        let chunk = ((n as u64) << 32) | z as u64;
-        if hooks::chunk_enabled(Region::Mg, chunk) {
-            let rg = Region::Mg;
+        if let Some(tr) = tracer.chunk(((n as u64) << 32) | z as u64) {
             let lvl = TRACE_LEVEL * u64::from(n.trailing_zeros());
             let plane_bytes = (n * n * 8) as u32;
             let at = |base: u64, zz: usize| base + lvl + (zz as u64) * u64::from(plane_bytes);
-            hooks::record(rg, chunk, AccessKind::Read, at(TRACE_V, z), 8, plane_bytes / 8);
+            tr.record(AccessKind::Read, at(TRACE_V, z), 8, plane_bytes / 8);
             for zz in [zm, z, zp] {
-                hooks::record(rg, chunk, AccessKind::Read, at(TRACE_U, zz), 8, plane_bytes / 8);
+                tr.record(AccessKind::Read, at(TRACE_U, zz), 8, plane_bytes / 8);
             }
-            hooks::record(rg, chunk, AccessKind::Write, at(TRACE_OUT, z), 8, plane_bytes / 8);
+            tr.record(AccessKind::Write, at(TRACE_OUT, z), 8, plane_bytes / 8);
         }
         for y in 0..n {
             let ym = (y + n - 1) % n;

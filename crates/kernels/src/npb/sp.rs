@@ -199,8 +199,9 @@ impl SpProblem {
     /// (x lines) to `5n`/`5n²` (y/z lines), which is exactly the
     /// locality cliff the replay driver needs to see.
     pub fn adi_step(&self, u: &mut [f64], b: &[f64]) {
+        let tracer = hooks::current(Region::Sp);
         for dir in 0..3 {
-            hooks::begin_epoch(Region::Sp);
+            tracer.begin_epoch();
             let au = self.apply(u);
             let n = self.n;
             // Element stride between consecutive points of a line.
@@ -222,14 +223,13 @@ impl SpProblem {
                         1 => self.idx(a, k, c, comp),
                         _ => self.idx(a, c, k, comp),
                     };
-                    if hooks::chunk_enabled(Region::Sp, lane as u64) {
+                    if let Some(tr) = tracer.chunk(lane as u64) {
                         let at = (line_idx(0) * 8) as u64;
-                        let ch = lane as u64;
                         let w = n as u32;
-                        hooks::record(Region::Sp, ch, AccessKind::Read, TRACE_DIAG + at, stride, w);
-                        hooks::record(Region::Sp, ch, AccessKind::Read, TRACE_U + at, stride, w);
-                        hooks::record(Region::Sp, ch, AccessKind::Read, TRACE_AU + at, stride, w);
-                        hooks::record(Region::Sp, ch, AccessKind::Read, TRACE_B + at, stride, w);
+                        tr.record(AccessKind::Read, TRACE_DIAG + at, stride, w);
+                        tr.record(AccessKind::Read, TRACE_U + at, stride, w);
+                        tr.record(AccessKind::Read, TRACE_AU + at, stride, w);
+                        tr.record(AccessKind::Read, TRACE_B + at, stride, w);
                     }
                     let diag: Vec<f64> = (0..n).map(|k| self.diag[line_idx(k)]).collect();
                     let mut rhs: Vec<f64> = (0..n)
@@ -258,14 +258,13 @@ impl SpProblem {
                 let comp = lane % 5;
                 let line = lane / 5;
                 let (a, c) = (line % n, line / n);
-                if hooks::chunk_enabled(Region::Sp, lane as u64) {
+                if let Some(tr) = tracer.chunk(lane as u64) {
                     let first = match dir {
                         0 => self.idx(0, a, c, comp),
                         1 => self.idx(a, 0, c, comp),
                         _ => self.idx(a, c, 0, comp),
                     };
-                    let at = TRACE_U + (first * 8) as u64;
-                    hooks::record(Region::Sp, lane as u64, AccessKind::Write, at, stride, n as u32);
+                    tr.record(AccessKind::Write, TRACE_U + (first * 8) as u64, stride, n as u32);
                 }
                 for (k, v) in sol.into_iter().enumerate() {
                     let i = match dir {

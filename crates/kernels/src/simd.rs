@@ -63,13 +63,13 @@
 //!
 //! # Mode resolution
 //!
-//! `HPCEVAL_SIMD={auto,scalar,avx2,fma,avx512,neon}` pins the path
-//! process-wide (read once, overriding everything — mirroring
-//! `HPCEVAL_THREADS`). Otherwise a thread-local [`with_mode`] override
-//! applies, else `auto`: AVX2 when the CPU reports it, NEON on
-//! aarch64, scalar elsewhere — `auto` **never** selects the tolerance
-//! tier or AVX-512, so default behavior is bitwise-unchanged from the
-//! two-path layer. Requesting a tier the hardware lacks degrades down
+//! The rule the pool width and trace capture follow too: a
+//! thread-local [`with_mode`] scope on the calling thread wins;
+//! otherwise `HPCEVAL_SIMD={auto,scalar,avx2,fma,avx512,neon}` (read
+//! once) supplies the process default; otherwise `auto`: AVX2 when the
+//! CPU reports it, NEON on aarch64, scalar elsewhere. `auto` **never**
+//! selects the tolerance tier or AVX-512, so default behavior is
+//! bitwise-unchanged from the two-path layer. Requesting a tier the hardware lacks degrades down
 //! the ladder (`fma → avx2 → scalar`, `avx512 → avx2 → scalar`,
 //! `neon → scalar`) rather than faulting. Kernels resolve [`mode`]
 //! **once at their public entry point, on the caller's thread**, and
@@ -167,7 +167,7 @@ pub fn neon_available() -> bool {
     cfg!(target_arch = "aarch64")
 }
 
-/// The `HPCEVAL_SIMD` pin, read once. `auto`, unset, or unparsable
+/// The `HPCEVAL_SIMD` default, read once. `auto`, unset, or unparsable
 /// values resolve to `None` (auto-detect), matching the forgiving
 /// `HPCEVAL_THREADS` parse.
 fn env_mode() -> Option<SimdMode> {
@@ -189,25 +189,30 @@ thread_local! {
 
 /// Run `f` with the given mode requested on this thread (the
 /// determinism suite uses this to compare paths in one process). The
-/// `HPCEVAL_SIMD` pin still wins, exactly as `HPCEVAL_THREADS`
-/// overrides explicit pool sizes; an `Avx2` request without AVX2
+/// request beats the `HPCEVAL_SIMD` default, exactly as an installed
+/// pool beats `HPCEVAL_THREADS`; an `Avx2` request without AVX2
 /// hardware degrades to scalar.
 pub fn with_mode<R>(mode: SimdMode, f: impl FnOnce() -> R) -> R {
-    let prev = OVERRIDE.with(|c| c.replace(Some(mode)));
-    let out = f();
-    OVERRIDE.with(|c| c.set(prev));
-    out
+    /// Restores the outer request on scope exit, unwinding included.
+    struct Restore(Option<SimdMode>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(OVERRIDE.with(|c| c.replace(Some(mode))));
+    f()
 }
 
-/// The resolved mode a kernel entered right now would use:
-/// `HPCEVAL_SIMD` pin, else the [`with_mode`] override, else the best
+/// The resolved mode a kernel entered right now would use: the
+/// [`with_mode`] request, else the `HPCEVAL_SIMD` default, else the best
 /// *bitwise* path the hardware offers (AVX2 on x86-64, NEON on
 /// aarch64, scalar elsewhere). A request the hardware cannot honor
 /// degrades down the ladder — `fma → avx2 → scalar`,
 /// `avx512 → avx2 → scalar`, `neon → scalar` — and never returns a
 /// mode whose intrinsics could fault.
 pub fn mode() -> SimdMode {
-    let requested = env_mode().or_else(|| OVERRIDE.with(std::cell::Cell::get));
+    let requested = OVERRIDE.with(std::cell::Cell::get).or_else(env_mode);
     let best_bitwise_x86 = || {
         if avx2_available() {
             SimdMode::Avx2
@@ -2167,9 +2172,6 @@ mod tests {
 
     #[test]
     fn requested_tiers_degrade_down_the_ladder() {
-        if std::env::var("HPCEVAL_SIMD").is_ok() {
-            return; // the env pin overrides the scoped request by design
-        }
         let expect_x86_fallback = if avx2_available() { SimdMode::Avx2 } else { SimdMode::Scalar };
         with_mode(SimdMode::Fma, || {
             let want = if fma_available() { SimdMode::Fma } else { expect_x86_fallback };
@@ -2201,12 +2203,12 @@ mod tests {
 
     #[test]
     fn with_mode_scopes_and_restores() {
-        if std::env::var("HPCEVAL_SIMD").is_ok() {
-            return; // the env pin overrides the scoped request by design
-        }
         let outer = mode();
         with_mode(SimdMode::Scalar, || assert_eq!(mode(), SimdMode::Scalar));
         assert_eq!(mode(), outer);
+        let caught = std::panic::catch_unwind(|| with_mode(SimdMode::Scalar, || panic!("boom")));
+        assert!(caught.is_err());
+        assert_eq!(mode(), outer, "a panic inside with_mode must not leak the request");
     }
 
     #[test]

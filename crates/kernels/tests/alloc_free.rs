@@ -10,7 +10,7 @@
 //!
 //! This file holds a single test on purpose: the counting allocator is
 //! process-global, and a concurrent test in the same binary would
-//! pollute the counters. The three phases run sequentially inside it.
+//! pollute the counters. The phases run sequentially inside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,94 +62,99 @@ fn measure(iters: u64, mut f: impl FnMut()) -> (u64, u64) {
     (ALLOCS.load(Ordering::Relaxed) - a0, BYTES.load(Ordering::Relaxed) - b0)
 }
 
+/// One warm hot path: its name, allocations and bytes per call, and the
+/// size of the operand its per-call bookkeeping is bounded by.
+struct Usage {
+    name: &'static str,
+    allocs: u64,
+    bytes_per_call: u64,
+    operand_bytes: u64,
+}
+
+/// Measure the three hot paths at the installed width.
+fn measure_hot_paths() -> Vec<Usage> {
+    const ITERS: u64 = 10;
+    let mut out = Vec::with_capacity(3);
+
+    // FT: forward+inverse against a warm FtWorkspace (2·ITERS calls).
+    let (nx, ny, nz) = (32, 32, 32);
+    let mut ws = FtWorkspace::new(nx, ny, nz);
+    let mut f = Field3::random(nx, ny, nz, 2_718_281);
+    let (allocs, bytes) = measure(ITERS, || {
+        fft3_with(&mut f, Direction::Forward, &mut ws);
+        fft3_with(&mut f, Direction::Inverse, &mut ws);
+    });
+    // The transform still computes something sane.
+    assert!(f.checksum().norm_sqr().is_finite());
+    out.push(Usage {
+        name: "fft3_with",
+        allocs,
+        bytes_per_call: bytes / (2 * ITERS),
+        operand_bytes: (nx * ny * nz * std::mem::size_of::<f64>() * 2) as u64,
+    });
+
+    // DGEMM: warm DgemmWorkspace ⇒ B packs into caller-owned tiles.
+    let n = 96;
+    let mut rng = NpbRng::new(1_618_033);
+    let a: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
+    let b: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
+    let mut c: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
+    let mut ws = DgemmWorkspace::new(n);
+    let (allocs, bytes) = measure(ITERS, || {
+        dgemm_with(n, 1.25, &a, &b, 0.5, &mut c, &mut ws);
+    });
+    assert!(c.iter().all(|v| v.is_finite()));
+    out.push(Usage {
+        name: "dgemm_with",
+        allocs,
+        bytes_per_call: bytes / ITERS,
+        operand_bytes: (n * n * std::mem::size_of::<f64>()) as u64,
+    });
+
+    // HPL trailing update: pure in-place Schur-complement sweep.
+    let (rows, cols, k, end) = (64usize, 96usize, 8usize, 24usize);
+    let mut tail: Vec<f64> = (0..rows * cols).map(|_| (rng.next_f64() - 0.5) * 1e-3).collect();
+    let u12: Vec<f64> = (0..(end - k) * cols).map(|_| (rng.next_f64() - 0.5) * 1e-3).collect();
+    let (allocs, bytes) = measure(ITERS, || {
+        lu::trailing_update(&mut tail, &u12, cols, k, end);
+    });
+    assert!(tail.iter().all(|v| v.is_finite()));
+    out.push(Usage {
+        name: "trailing_update",
+        allocs,
+        bytes_per_call: bytes / ITERS,
+        operand_bytes: (rows * cols * std::mem::size_of::<f64>()) as u64,
+    });
+    out
+}
+
 #[test]
 fn warm_hot_paths_are_allocation_free() {
-    // Request width 1; HPCEVAL_THREADS (the CI matrix pin) overrides
-    // the request by design, so read back the width that actually took
-    // effect and assert accordingly.
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    pool.install(|| {
-        let width = rayon::current_num_threads();
-        const ITERS: u64 = 10;
-
-        // FT: forward+inverse against a warm FtWorkspace.
-        let (nx, ny, nz) = (32, 32, 32);
-        let mut ws = FtWorkspace::new(nx, ny, nz);
-        let mut f = Field3::random(nx, ny, nz, 2_718_281);
-        let (allocs, bytes) = measure(ITERS, || {
-            fft3_with(&mut f, Direction::Forward, &mut ws);
-            fft3_with(&mut f, Direction::Inverse, &mut ws);
-        });
-        let field_bytes = (nx * ny * nz * std::mem::size_of::<f64>() * 2) as u64;
-        if width == 1 {
-            assert_eq!(
-                allocs, 0,
-                "fft3_with allocated {allocs} times ({bytes} B) across {ITERS} \
-                 warm iterations at width 1"
-            );
-        } else {
-            // 2·ITERS transforms ran; per-transform bookkeeping must be a
-            // small fraction of one field (the old code allocated 4 whole
-            // fields per call).
-            let per_call = bytes / (2 * ITERS);
-            assert!(
-                per_call < field_bytes / 8,
-                "fft3_with allocates {per_call} B per call at width {width} \
-                 (field is {field_bytes} B)"
-            );
-        }
-        // The transform still computes something sane.
-        assert!(f.checksum().norm_sqr().is_finite());
-
-        // DGEMM: warm DgemmWorkspace ⇒ B packs into caller-owned tiles.
-        let n = 96;
-        let mut rng = NpbRng::new(1_618_033);
-        let a: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
-        let b: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
-        let mut c: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
-        let mut ws = DgemmWorkspace::new(n);
-        let (allocs, bytes) = measure(ITERS, || {
-            dgemm_with(n, 1.25, &a, &b, 0.5, &mut c, &mut ws);
-        });
-        let matrix_bytes = (n * n * std::mem::size_of::<f64>()) as u64;
-        if width == 1 {
-            assert_eq!(
-                allocs, 0,
-                "dgemm_with allocated {allocs} times ({bytes} B) across {ITERS} \
-                 warm iterations at width 1"
-            );
-        } else {
-            let per_call = bytes / ITERS;
-            assert!(
-                per_call < matrix_bytes / 8,
-                "dgemm_with allocates {per_call} B per call at width {width} \
-                 (matrix is {matrix_bytes} B)"
-            );
-        }
-        assert!(c.iter().all(|v| v.is_finite()));
-
-        // HPL trailing update: pure in-place Schur-complement sweep.
-        let (rows, cols, k, end) = (64usize, 96usize, 8usize, 24usize);
-        let mut tail: Vec<f64> = (0..rows * cols).map(|_| (rng.next_f64() - 0.5) * 1e-3).collect();
-        let u12: Vec<f64> = (0..(end - k) * cols).map(|_| (rng.next_f64() - 0.5) * 1e-3).collect();
-        let (allocs, bytes) = measure(ITERS, || {
-            lu::trailing_update(&mut tail, &u12, cols, k, end);
-        });
-        if width == 1 {
-            assert_eq!(
-                allocs, 0,
-                "trailing_update allocated {allocs} times ({bytes} B) across {ITERS} \
-                 warm iterations at width 1"
-            );
-        } else {
-            let tail_bytes = (rows * cols * std::mem::size_of::<f64>()) as u64;
-            let per_call = bytes / ITERS;
-            assert!(
-                per_call < tail_bytes / 8,
-                "trailing_update allocates {per_call} B per call at width {width} \
-                 (tail is {tail_bytes} B)"
-            );
-        }
-        assert!(tail.iter().all(|v| v.is_finite()));
-    });
+    let with_width = |n: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+            .install(measure_hot_paths)
+    };
+    // Width 1 is an explicit request, so it holds under any
+    // HPCEVAL_THREADS default.
+    for u in with_width(1) {
+        assert_eq!(
+            u.allocs, 0,
+            "{} allocated {} times ({} B per call) on warm iterations at width 1",
+            u.name, u.allocs, u.bytes_per_call
+        );
+    }
+    // Per-call bookkeeping must be a small fraction of one operand (the
+    // old code allocated whole fields and matrices per call).
+    for u in with_width(4) {
+        assert!(
+            u.bytes_per_call < u.operand_bytes / 8,
+            "{} allocates {} B per call at width 4 (operand is {} B)",
+            u.name,
+            u.bytes_per_call,
+            u.operand_bytes
+        );
+    }
 }

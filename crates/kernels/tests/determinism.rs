@@ -9,10 +9,9 @@
 //! transforms with tiled elementwise transposes, MG elementwise grid
 //! sweeps, BT/SP independent line solves, and NPB-LU a hyperplane
 //! wavefront that reproduces the serial Gauss-Seidel order exactly. CI
-//! runs this suite under both `HPCEVAL_THREADS=1` and
-//! `HPCEVAL_THREADS=4`; when that variable is set it pins every width
-//! below to the same value, and the whole suite must still pass at
-//! either pin.
+//! runs this suite under `HPCEVAL_THREADS=1` and `HPCEVAL_THREADS=4`;
+//! that variable only sets the default width, so every explicit width
+//! below is really exercised in either leg.
 
 use hpceval_kernels::hpcc::dgemm::{dgemm, dgemm_naive};
 use hpceval_kernels::hpcc::stream;
@@ -21,11 +20,19 @@ use hpceval_kernels::npb::lu as npb_lu;
 use hpceval_kernels::npb::{bt, cg, ep, ft, is, mg, sp};
 use hpceval_kernels::rng::NpbRng;
 use hpceval_kernels::simd::{self, SimdMode};
+use hpceval_trace::{CaptureConfig, CaptureGuard, Region, Trace};
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 fn with_width<R>(n: usize, f: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
+}
+
+#[test]
+fn explicit_width_beats_the_env_default() {
+    for width in WIDTHS {
+        assert_eq!(with_width(width, rayon::current_num_threads), width);
+    }
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -224,10 +231,8 @@ fn sp_adi_bitwise_identical_across_widths() {
 /// the scalar and AVX2 paths, at every logical thread width. Each
 /// kernel resolves its mode once at entry on the calling thread —
 /// which is where `install` runs its closure — so `with_mode` here
-/// governs the whole parallel call. When `HPCEVAL_SIMD` pins a mode
-/// (the env wins over `with_mode`, as documented) or the host lacks
-/// AVX2, both closures resolve to the same path and the assertions
-/// hold trivially — the suite stays green under every CI leg.
+/// governs the whole parallel call, whatever `HPCEVAL_SIMD` says. On a
+/// host without AVX2 the request degrades to scalar.
 #[test]
 fn simd_scalar_and_avx2_bitwise_identical_across_widths() {
     fn pair(f: impl Fn() -> Vec<u64>) -> (Vec<u64>, Vec<u64>) {
@@ -302,6 +307,111 @@ fn simd_scalar_and_avx2_bitwise_identical_across_widths() {
     }
 }
 
+/// Run the instrumented kernel of `region` at a small size.
+fn run_region(region: Region) {
+    match region {
+        Region::Dgemm => {
+            let n = 96;
+            let mut rng = NpbRng::new(31);
+            let a: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
+            let b: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
+            let mut c = vec![0.0; n * n];
+            dgemm(n, 1.0, &a, &b, 0.0, &mut c);
+        }
+        Region::Stream => {
+            stream::run(1 << 12, 2);
+        }
+        Region::Cg => {
+            cg::run(400, 4, 2, 10.0);
+        }
+        Region::Mg => {
+            let v = mg::Grid::random_rhs(16, 7);
+            let mut u = mg::Grid::zeros(16);
+            mg::v_cycle(&mut u, &v);
+        }
+        Region::Is => {
+            // 2^18 keys = four histogram chunks, enough for the
+            // 1-in-4 sampler to keep at least one.
+            let keys = is::generate_keys(1 << 18, 1 << 9, 99);
+            is::rank_keys(&keys, 1 << 9);
+        }
+        Region::RandomAccess => {
+            hpceval_kernels::hpcc::random_access::run(14, 4 << 14, 9);
+        }
+        Region::Ft => {
+            ft::run_scaled(16, 16, 8, 1);
+        }
+        Region::Hpl => {
+            // factor() builds its own pool; hand it the ambient
+            // width so the banding actually varies under test.
+            let a = lu::Matrix::random(96, 5);
+            lu::factor(a, 16, rayon::current_num_threads()).unwrap();
+        }
+        Region::Ep => {
+            ep::run(14, rayon::current_num_threads());
+        }
+        Region::Sp => {
+            let n = 8;
+            let prob = sp::SpProblem::new(n, 55);
+            let mut rng = NpbRng::new(3);
+            let b: Vec<f64> = (0..n * n * n * 5).map(|_| rng.next_f64() - 0.5).collect();
+            let mut u = vec![0.0; n * n * n * 5];
+            prob.adi_step(&mut u, &b);
+        }
+        Region::Bt => {
+            let n = 8;
+            let prob = bt::AdiProblem::new(n, 55);
+            let mut rng = NpbRng::new(3);
+            let b: Vec<_> = (0..n * n * n)
+                .map(|_| {
+                    [
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                    ]
+                })
+                .collect();
+            let mut u = vec![[0.0f64; 5]; n * n * n];
+            prob.adi_step(&mut u, &b);
+        }
+        Region::Lu => {
+            let n = 8;
+            let prob = npb_lu::SsorProblem::new(n, 55);
+            let mut rng = NpbRng::new(3);
+            let b: Vec<_> = (0..n * n * n)
+                .map(|_| {
+                    [
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                        rng.next_f64() - 0.5,
+                    ]
+                })
+                .collect();
+            let mut u = vec![[0.0f64; 5]; n * n * n];
+            prob.ssor_step(&mut u, &b, 1.2);
+        }
+    }
+}
+
+/// A sampled capture of `region` at `width`. The rate is mild (1-in-2)
+/// because the sampler is a pure hash and several kernels only produce
+/// a handful of chunks at these sizes — the subset must stay non-empty
+/// for every kernel.
+fn capture(region: Region, width: usize) -> Trace {
+    let config = CaptureConfig {
+        mode: hpceval_trace::TraceMode::Sampled,
+        sample_one_in: 2,
+        ..CaptureConfig::default()
+    };
+    let guard = CaptureGuard::start(region, config).expect("sampled capture starts");
+    with_width(width, || run_region(region));
+    guard.finish()
+}
+
 /// The trace recorder's determinism contract: the *captured address
 /// trace* — not just the numeric output — is bitwise identical at every
 /// width. Chunk ids are width-invariant decomposition indices, epochs
@@ -312,107 +422,7 @@ fn simd_scalar_and_avx2_bitwise_identical_across_widths() {
 #[test]
 fn captured_traces_bitwise_identical_across_widths() {
     use hpceval_machine::presets;
-    use hpceval_trace::{replay, CaptureConfig, CaptureGuard, Region, ReplayOptions, Trace};
-
-    fn capture(region: Region, width: usize) -> Trace {
-        // Sampled mode exercises the hash-selected chunk subset; the
-        // rate is mild (1-in-2) because the sampler is a pure hash and
-        // several kernels only produce a handful of chunks at these
-        // sizes — the subset must stay non-empty for every kernel.
-        let config = CaptureConfig {
-            mode: hpceval_trace::TraceMode::Sampled,
-            sample_one_in: 2,
-            ..CaptureConfig::default()
-        };
-        let guard = CaptureGuard::start(region, config).expect("sampled capture starts");
-        with_width(width, || match region {
-            Region::Dgemm => {
-                let n = 96;
-                let mut rng = NpbRng::new(31);
-                let a: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
-                let b: Vec<f64> = (0..n * n).map(|_| rng.next_f64() - 0.5).collect();
-                let mut c = vec![0.0; n * n];
-                dgemm(n, 1.0, &a, &b, 0.0, &mut c);
-            }
-            Region::Stream => {
-                stream::run(1 << 12, 2);
-            }
-            Region::Cg => {
-                cg::run(400, 4, 2, 10.0);
-            }
-            Region::Mg => {
-                let v = mg::Grid::random_rhs(16, 7);
-                let mut u = mg::Grid::zeros(16);
-                mg::v_cycle(&mut u, &v);
-            }
-            Region::Is => {
-                // 2^18 keys = four histogram chunks, enough for the
-                // 1-in-4 sampler to keep at least one.
-                let keys = is::generate_keys(1 << 18, 1 << 9, 99);
-                is::rank_keys(&keys, 1 << 9);
-            }
-            Region::RandomAccess => {
-                hpceval_kernels::hpcc::random_access::run(14, 4 << 14, 9);
-            }
-            Region::Ft => {
-                ft::run_scaled(16, 16, 8, 1);
-            }
-            Region::Hpl => {
-                // factor() builds its own pool; hand it the ambient
-                // width so the banding actually varies under test.
-                let a = lu::Matrix::random(96, 5);
-                lu::factor(a, 16, rayon::current_num_threads()).unwrap();
-            }
-            Region::Ep => {
-                ep::run(14, rayon::current_num_threads());
-            }
-            Region::Sp => {
-                let n = 8;
-                let prob = sp::SpProblem::new(n, 55);
-                let mut rng = NpbRng::new(3);
-                let b: Vec<f64> = (0..n * n * n * 5).map(|_| rng.next_f64() - 0.5).collect();
-                let mut u = vec![0.0; n * n * n * 5];
-                prob.adi_step(&mut u, &b);
-            }
-            Region::Bt => {
-                let n = 8;
-                let prob = bt::AdiProblem::new(n, 55);
-                let mut rng = NpbRng::new(3);
-                let b: Vec<_> = (0..n * n * n)
-                    .map(|_| {
-                        [
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                        ]
-                    })
-                    .collect();
-                let mut u = vec![[0.0f64; 5]; n * n * n];
-                prob.adi_step(&mut u, &b);
-            }
-            Region::Lu => {
-                let n = 8;
-                let prob = npb_lu::SsorProblem::new(n, 55);
-                let mut rng = NpbRng::new(3);
-                let b: Vec<_> = (0..n * n * n)
-                    .map(|_| {
-                        [
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                            rng.next_f64() - 0.5,
-                        ]
-                    })
-                    .collect();
-                let mut u = vec![[0.0f64; 5]; n * n * n];
-                prob.ssor_step(&mut u, &b, 1.2);
-            }
-        });
-        guard.finish()
-    }
+    use hpceval_trace::{replay, ReplayOptions};
 
     for region in Region::ALL {
         let reference = capture(region, 1);
@@ -436,6 +446,77 @@ fn captured_traces_bitwise_identical_across_widths() {
             );
         }
     }
+}
+
+/// Capture isolation under contention: a capture records exactly the
+/// call tree that started it. Uncaptured runs of the same kernels on
+/// other threads, and a capture of another region running at the same
+/// time on another thread, must leave every trace byte-equal to its
+/// solo capture.
+#[test]
+fn captures_are_isolated_from_concurrent_kernels() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const ROUNDS: usize = 6;
+    let regions = [Region::Cg, Region::Dgemm];
+    let solo: Vec<Vec<u8>> = regions.iter().map(|&r| capture(r, 2).encode()).collect();
+
+    // Captures on this thread while two others loop the same kernels
+    // uncaptured; the barrier holds the captures back until both
+    // loopers are mid-loop. Mismatches are collected, not asserted, so
+    // the loopers are always stopped before the scope joins them.
+    let stop = AtomicBool::new(false);
+    let looping = Barrier::new(3);
+    let mut diverged = Vec::new();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let pass = || regions.iter().for_each(|&r| with_width(2, || run_region(r)));
+                pass();
+                looping.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    pass();
+                }
+            });
+        }
+        looping.wait();
+        for round in 0..ROUNDS {
+            for (&r, want) in regions.iter().zip(&solo) {
+                if capture(r, 2).encode() != *want {
+                    diverged.push(format!("{} (round {round})", r.name()));
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(diverged.is_empty(), "captures picked up uncaptured runs: {diverged:?}");
+
+    // Two captures of different regions at once, one per thread, each
+    // round started together.
+    let round_start = Barrier::new(regions.len());
+    std::thread::scope(|s| {
+        let runs: Vec<_> = regions
+            .iter()
+            .map(|&r| {
+                let round_start = &round_start;
+                s.spawn(move || {
+                    (0..ROUNDS)
+                        .map(|_| {
+                            round_start.wait();
+                            capture(r, 2).encode()
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        for ((run, want), r) in runs.into_iter().zip(&solo).zip(regions) {
+            let traces: Vec<Vec<u8>> = run.join().expect("capture thread");
+            for got in traces {
+                assert!(got == *want, "concurrent {} capture diverges from its solo run", r.name());
+            }
+        }
+    });
 }
 
 #[test]

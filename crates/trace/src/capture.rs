@@ -15,10 +15,23 @@
 //! ## Why chunk-granular sampling
 //!
 //! Sampling whole chunks (rather than individual accesses) keeps the
-//! hot-loop cost to one branch per chunk when tracing is enabled and a
-//! single relaxed atomic load when it is not. The decision is the pure
-//! function `splitmix64(seed ⊕ region ⊕ chunk) mod k == 0`, so the same
-//! chunks are kept on every run, at every width, on every machine.
+//! hot-loop cost to one hash per chunk when tracing is enabled and one
+//! branch when it is not. The decision is the pure function
+//! `splitmix64(seed ⊕ region ⊕ chunk) mod k == 0`, so the same chunks
+//! are kept on every run, at every width, on every machine.
+//!
+//! ## Why call-tree scope
+//!
+//! A session belongs to the thread that started it: [`CaptureGuard`]
+//! installs it in a thread-local scope, and a kernel reads that scope
+//! once at its entry ([`hooks::current`]) and hands the resulting
+//! [`hooks::Tracer`] to its parallel closures. So exactly the kernels
+//! called under the guard are recorded — an uncaptured kernel on
+//! another thread cannot write into a live trace, and sessions on
+//! different threads run side by side. This is the rule the pool width
+//! and the SIMD mode follow too: the explicit scope on the calling
+//! thread wins, and kernels carry what they read at entry into their
+//! workers.
 //!
 //! ## Bounded memory
 //!
@@ -27,11 +40,13 @@
 //! events and counts them, so a runaway kernel degrades the trace
 //! instead of eating the heap.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::Mutex;
 
 use crate::event::{
     get_uvarint, put_uvarint, zigzag_decode, zigzag_encode, AccessKind, TraceEvent,
@@ -41,7 +56,7 @@ use crate::ring::TraceRing;
 /// Capture intensity, normally read from `HPCEVAL_TRACE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// No capture; hooks cost one relaxed atomic load per chunk.
+    /// No capture; hooks cost one branch per chunk.
     #[default]
     Off,
     /// Record a deterministic 1-in-k subset of chunks.
@@ -251,7 +266,8 @@ impl CaptureConfig {
 /// tree today is MG's `(edge << 32) | plane` (≈ 2^38).
 const EPOCH_SHIFT: u32 = 44;
 
-/// The state behind the global hooks while a session runs.
+/// The state of one live session, shared by the guard and the
+/// [`hooks::Tracer`]s taken under it.
 #[derive(Debug)]
 struct ActiveCapture {
     region: Region,
@@ -259,7 +275,7 @@ struct ActiveCapture {
     seed: u64,
     sample_one_in: u32,
     chunk_capacity: usize,
-    /// Pass counter ([`hooks::begin_epoch`]): kernels that run their
+    /// Pass counter ([`hooks::Tracer::begin_epoch`]): kernels that run their
     /// traced loop more than once per capture (CG's per-iteration
     /// matvec, STREAM's repeated ops, MG's V-cycles) bump this at each
     /// serial entry so every pass gets distinct chunk ids. Without it,
@@ -297,99 +313,101 @@ impl ActiveCapture {
     }
 }
 
-// The hook fast path: a single relaxed load. Set only while a session
-// is live, so untraced runs never take the RwLock.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ACTIVE: RwLock<Option<Arc<ActiveCapture>>> = RwLock::new(None);
-// Capture sessions are process-global (the hooks are); serialize them
-// so concurrent tests queue instead of corrupting each other.
-static SESSION: Mutex<()> = Mutex::new(());
+thread_local! {
+    /// The innermost live session started on this thread: the capture
+    /// scope of every kernel this thread enters while it is set.
+    static SCOPE: RefCell<Option<Arc<ActiveCapture>>> = const { RefCell::new(None) };
+}
 
-/// Instrumentation hooks the kernel crates call. Everything here is a
-/// no-op (one relaxed atomic load) unless a [`CaptureGuard`] is live.
+/// Instrumentation hooks the kernel crates call. A kernel takes one
+/// [`Tracer`] at its public entry, on the caller's thread, and shares
+/// it with its parallel closures; everything is a no-op unless a
+/// [`CaptureGuard`] for the kernel's region is live on that thread.
 pub mod hooks {
     use super::*;
 
-    /// Fast check: is any capture session live? Kernels gate their
-    /// per-chunk instrumentation block on this.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
+    /// The capture scope for `region` on the calling thread. Call once
+    /// per kernel entry, outside any parallel section: worker threads
+    /// never consult the scope, so a capture covers exactly the call
+    /// tree that started it.
+    pub fn current(region: Region) -> Tracer {
+        Tracer(SCOPE.with(|s| s.borrow().as_ref().filter(|c| c.region == region).cloned()))
     }
 
-    /// Full check: live session, matching region, chunk selected by the
-    /// sampler. Call once per chunk, then emit events with [`record`].
-    pub fn chunk_enabled(region: Region, chunk: u64) -> bool {
-        if !enabled() {
-            return false;
-        }
-        match &*ACTIVE.read() {
-            Some(c) => c.region == region && c.samples(c.full_id(chunk)),
-            None => false,
-        }
-    }
+    /// One kernel call's view of the capture scope (empty when nothing
+    /// is captured, which costs one branch per chunk).
+    #[derive(Debug)]
+    pub struct Tracer(Option<Arc<ActiveCapture>>);
 
-    /// Mark a serial point between traced passes (kernel entry, outer
-    /// iteration boundary). Must be called from exactly one thread —
-    /// outside any parallel section — so the epoch sequence is
-    /// deterministic regardless of worker count. Kernels that run their
-    /// traced loop once per capture may skip it.
-    pub fn begin_epoch(region: Region) {
-        if !enabled() {
-            return;
-        }
-        if let Some(c) = &*ACTIVE.read() {
-            if c.region == region {
+    impl Tracer {
+        /// Mark a serial point between traced passes (kernel entry, outer
+        /// iteration boundary). Must be called outside any parallel
+        /// section, so the epoch sequence is deterministic regardless of
+        /// worker count. Kernels that run their traced loop once per
+        /// capture may skip it.
+        pub fn begin_epoch(&self) {
+            if let Some(c) = &self.0 {
                 c.epoch.fetch_add(1, Ordering::Relaxed);
             }
         }
+
+        /// The recorder for `chunk`, when a session is live and its
+        /// sampler keeps the chunk. Call once per chunk, then emit the
+        /// chunk's events through it.
+        #[inline]
+        pub fn chunk(&self, chunk: u64) -> Option<ChunkRecorder<'_>> {
+            let capture = self.0.as_deref()?;
+            let id = capture.full_id(chunk);
+            capture.samples(id).then_some(ChunkRecorder { capture, id })
+        }
     }
 
-    /// Record one access burst for `chunk`. Region and sampling are
-    /// re-checked, so calling without [`chunk_enabled`] is safe, just
-    /// slower.
-    pub fn record(
-        region: Region,
-        chunk: u64,
-        kind: AccessKind,
-        base: u64,
-        stride: u32,
-        count: u32,
-    ) {
-        if !enabled() || count == 0 {
-            return;
+    /// The event sink of one sampled chunk.
+    #[derive(Debug)]
+    pub struct ChunkRecorder<'a> {
+        capture: &'a ActiveCapture,
+        id: u64,
+    }
+
+    impl ChunkRecorder<'_> {
+        /// Record one access burst.
+        pub fn record(&self, kind: AccessKind, base: u64, stride: u32, count: u32) {
+            if count > 0 {
+                self.capture.push(self.id, TraceEvent { kind, base, stride, count });
+            }
         }
-        let capture = ACTIVE.read().clone();
-        let Some(c) = capture else { return };
-        if c.region != region {
-            return;
-        }
-        let full_id = c.full_id(chunk);
-        if !c.samples(full_id) {
-            return;
-        }
-        c.push(full_id, TraceEvent { kind, base, stride, count });
     }
 }
 
 /// A live capture session. Created by [`CaptureGuard::start`]; run the
-/// kernel while it is alive, then call [`CaptureGuard::finish`] to get
-/// the merged [`Trace`]. Dropping without finishing discards the data
-/// and re-disables the hooks.
+/// kernel on the same thread while it is alive, then call
+/// [`CaptureGuard::finish`] to get the merged [`Trace`]. Dropping
+/// without finishing discards the data. The guard is tied to its
+/// thread (`!Send`); guards on one thread nest and must end in reverse
+/// order of their starts.
+///
+/// ```compile_fail
+/// use hpceval_trace::{CaptureConfig, CaptureGuard, Region};
+/// fn send<T: Send>(_: T) {}
+/// send(CaptureGuard::start(Region::Cg, CaptureConfig::default()));
+/// ```
 pub struct CaptureGuard {
-    _session: MutexGuard<'static, ()>,
     capture: Arc<ActiveCapture>,
+    /// The session this one shadows, restored on finish or drop.
+    outer: Option<Arc<ActiveCapture>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl CaptureGuard {
-    /// Begin capturing `region` with `config`. Returns `None` when the
-    /// mode is [`TraceMode::Off`]. Blocks until any other session in
-    /// the process finishes (the hooks are global).
+    /// Begin capturing `region` with `config` for kernels entered on
+    /// the calling thread. Returns `None` when the mode is
+    /// [`TraceMode::Off`]. Sessions on other threads run independently;
+    /// a session started while another is live on this thread shadows
+    /// it until it ends.
     pub fn start(region: Region, config: CaptureConfig) -> Option<Self> {
         if config.mode == TraceMode::Off {
             return None;
         }
-        let session = SESSION.lock();
         let capture = Arc::new(ActiveCapture {
             region,
             mode: config.mode,
@@ -399,20 +417,19 @@ impl CaptureGuard {
             epoch: AtomicU64::new(0),
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
         });
-        *ACTIVE.write() = Some(Arc::clone(&capture));
-        ENABLED.store(true, Ordering::Release);
-        Some(Self { _session: session, capture })
+        let outer = SCOPE.with(|s| s.replace(Some(Arc::clone(&capture))));
+        Some(Self { capture, outer, _thread_bound: PhantomData })
     }
 
     /// Stop capturing and merge the per-chunk logs (ascending chunk id)
     /// into a [`Trace`].
     pub fn finish(self) -> Trace {
-        ENABLED.store(false, Ordering::Release);
-        *ACTIVE.write() = None;
-        // Post-write-lock, no hook holds a shard; drain them.
+        let capture = Arc::clone(&self.capture);
+        drop(self);
+        // The kernels that recorded have returned; drain the shards.
         let mut chunks: Vec<ChunkTrace> = Vec::new();
         let mut dropped = 0u64;
-        for shard in &self.capture.shards {
+        for shard in &capture.shards {
             let mut map = shard.lock();
             for (id, ring) in map.drain() {
                 dropped += ring.evicted();
@@ -421,10 +438,10 @@ impl CaptureGuard {
         }
         chunks.sort_unstable_by_key(|c| c.id);
         Trace {
-            region: self.capture.region,
-            mode: self.capture.mode,
-            seed: self.capture.seed,
-            sample_one_in: self.capture.sample_one_in,
+            region: capture.region,
+            mode: capture.mode,
+            seed: capture.seed,
+            sample_one_in: capture.sample_one_in,
             chunks,
             dropped,
         }
@@ -433,10 +450,10 @@ impl CaptureGuard {
 
 impl Drop for CaptureGuard {
     fn drop(&mut self) {
-        // Idempotent teardown (finish() already did both stores when it
-        // ran; an early drop must not leave the hooks live).
-        ENABLED.store(false, Ordering::Release);
-        *ACTIVE.write() = None;
+        let outer = self.outer.take();
+        // A guard dropped during thread teardown has no scope left to
+        // restore.
+        let _ = SCOPE.try_with(|s| *s.borrow_mut() = outer);
     }
 }
 
@@ -623,10 +640,11 @@ mod tests {
             CaptureConfig { mode, seed: 7, sample_one_in: 2, chunk_capacity: 16 },
         )
         .expect("mode is not Off");
+        let tracer = hooks::current(Region::Stream);
         for chunk in 0..8u64 {
-            if hooks::chunk_enabled(Region::Stream, chunk) {
-                hooks::record(Region::Stream, chunk, AccessKind::Read, chunk * 4096, 8, 64);
-                hooks::record(Region::Stream, chunk, AccessKind::Write, chunk * 4096 + 1024, 8, 64);
+            if let Some(tr) = tracer.chunk(chunk) {
+                tr.record(AccessKind::Read, chunk * 4096, 8, 64);
+                tr.record(AccessKind::Write, chunk * 4096 + 1024, 8, 64);
             }
         }
         guard.finish()
@@ -639,7 +657,7 @@ mod tests {
             CaptureConfig { mode: TraceMode::Off, ..CaptureConfig::default() }
         )
         .is_none());
-        assert!(!hooks::enabled());
+        assert!(hooks::current(Region::Dgemm).chunk(0).is_none());
     }
 
     #[test]
@@ -673,25 +691,63 @@ mod tests {
             CaptureConfig { mode: TraceMode::Full, ..Default::default() },
         )
         .unwrap();
-        hooks::record(Region::Mg, 0, AccessKind::Read, 0, 8, 4);
-        assert!(!hooks::chunk_enabled(Region::Mg, 0));
-        assert!(hooks::chunk_enabled(Region::Cg, 0));
+        assert!(hooks::current(Region::Mg).chunk(0).is_none());
+        assert!(hooks::current(Region::Cg).chunk(0).is_some());
         let t = guard.finish();
         assert_eq!(t.total_events(), 0);
     }
 
+    fn live(region: Region) -> bool {
+        hooks::current(region).chunk(0).is_some()
+    }
+
+    fn full() -> CaptureConfig {
+        CaptureConfig { mode: TraceMode::Full, ..Default::default() }
+    }
+
     #[test]
     fn hooks_disabled_after_finish_and_after_drop() {
-        let g = CaptureGuard::start(Region::Is, CaptureConfig::default()).unwrap();
-        assert!(hooks::enabled());
+        let g = CaptureGuard::start(Region::Is, full()).unwrap();
+        assert!(live(Region::Is));
         let _ = g.finish();
-        assert!(!hooks::enabled());
+        assert!(!live(Region::Is));
 
-        let g = CaptureGuard::start(Region::Is, CaptureConfig::default()).unwrap();
-        assert!(hooks::enabled());
+        let g = CaptureGuard::start(Region::Is, full()).unwrap();
+        assert!(live(Region::Is));
         drop(g); // early drop, no finish
-        assert!(!hooks::enabled());
-        hooks::record(Region::Is, 0, AccessKind::Read, 0, 8, 4); // must not panic
+        assert!(!live(Region::Is));
+    }
+
+    #[test]
+    fn scope_is_the_starting_thread() {
+        let g = CaptureGuard::start(Region::Is, full()).unwrap();
+        let tracer = hooks::current(Region::Is);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Another thread sees no session, but a handle taken
+                // on the capturing thread records from anywhere.
+                assert!(!live(Region::Is));
+                tracer.chunk(3).unwrap().record(AccessKind::Read, 0, 8, 4);
+            });
+        });
+        let t = g.finish();
+        assert_eq!(t.chunks.len(), 1);
+        assert_eq!(t.chunks[0].id, 3);
+    }
+
+    #[test]
+    fn nested_sessions_shadow_and_restore() {
+        let outer = CaptureGuard::start(Region::Cg, full()).unwrap();
+        hooks::current(Region::Cg).chunk(1).unwrap().record(AccessKind::Read, 0, 8, 1);
+        let inner = CaptureGuard::start(Region::Cg, full()).unwrap();
+        hooks::current(Region::Cg).chunk(2).unwrap().record(AccessKind::Read, 0, 8, 1);
+        let inner = inner.finish();
+        hooks::current(Region::Cg).chunk(3).unwrap().record(AccessKind::Read, 0, 8, 1);
+        let outer = outer.finish();
+        let ids = |t: &Trace| t.chunks.iter().map(|c| c.id).collect::<Vec<_>>();
+        assert_eq!(ids(&inner), [2]);
+        assert_eq!(ids(&outer), [1, 3]);
+        assert!(!live(Region::Cg));
     }
 
     #[test]
@@ -701,8 +757,10 @@ mod tests {
             CaptureConfig { mode: TraceMode::Full, chunk_capacity: 4, ..Default::default() },
         )
         .unwrap();
+        let tracer = hooks::current(Region::RandomAccess);
+        let tr = tracer.chunk(0).unwrap();
         for i in 0..10u32 {
-            hooks::record(Region::RandomAccess, 0, AccessKind::Read, u64::from(i) * 64, 0, 1);
+            tr.record(AccessKind::Read, u64::from(i) * 64, 0, 1);
         }
         let t = guard.finish();
         assert_eq!(t.dropped, 6);

@@ -7,8 +7,9 @@
 //! kernel hot loop ──hooks──▶ Trace ──replay──▶ TraceCounters ──bridge──▶ PmuCounters
 //! ```
 //!
-//! * [`capture`] — global, near-zero-cost instrumentation hooks the
-//!   kernel crates call from their chunked hot loops; a deterministic
+//! * [`capture`] — near-zero-cost instrumentation hooks the kernel
+//!   crates call from their chunked hot loops, scoped to the call tree
+//!   of the thread that started the capture; a deterministic
 //!   splitmix64 chunk sampler; per-chunk bounded event rings merged
 //!   into a [`capture::Trace`] in width-invariant order; a compact
 //!   delta/varint wire format,

@@ -437,7 +437,8 @@ usage: hpceval fleet <serve|route|submit|status|drain|shutdown|smoke|bench> [fla
            in-process sustained load through the pipelined router;
            comma lists sweep their cartesian product (default sweeps
            2,4,8 shards) into per-configuration p50/p99 latency and
-           ops/s, optional drift check against a suite baseline";
+           ops/s; prints the suite JSON (the BENCH_fleet.json format),
+           or with --check the drift verdict and per-metric trends";
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7621";
 const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:7620";
@@ -647,10 +648,13 @@ fn parse_usize_list(key: &str, raw: &str) -> Result<Vec<usize>, String> {
     Ok(vals)
 }
 
-/// Scaled-down sustained-load gate (CI runs this in every matrix leg
-/// with `--ops` small, one swept configuration, and `--check
-/// BENCH_fleet.json`; the committed baseline itself comes from the
-/// full `fleet_bench` bin sweep).
+/// The fleet sustained-load benchmark. Without `--check` it prints the
+/// suite JSON, so the full default 2/4/8-shard sweep records the
+/// baseline (`hpceval fleet bench > BENCH_fleet.json`). CI runs a
+/// scaled-down gate in every matrix leg: small `--ops`, one swept
+/// configuration, and `--check BENCH_fleet.json`, which prints one
+/// trend line per metric on pass. The per-configuration summary goes to
+/// stderr so stdout stays machine-readable.
 fn fleet_bench(args: &[String]) -> ExitCode {
     use hpceval::fleet::bench::{check_suite, expand_configs, parse_baseline, DEFAULT_SHARD_SWEEP};
     use hpceval::fleet::{run_suite, BenchOptions};
@@ -709,7 +713,7 @@ fn fleet_bench(args: &[String]) -> ExitCode {
         }
     };
     for (key, report) in &suite.configs {
-        println!(
+        eprintln!(
             "[{key}] {} ops over {} client(s), {} shard(s), depth {}: {:.2}s, {} job(s) completed",
             report.ops,
             report.clients,
@@ -719,11 +723,12 @@ fn fleet_bench(args: &[String]) -> ExitCode {
             report.jobs_completed
         );
         for (name, value) in &report.metrics {
-            println!("  {name}: {value:.1}");
+            eprintln!("  {name}: {value:.1}");
         }
     }
 
     let Some(path) = flag(&flags, "check") else {
+        println!("{}", serde_json::to_string_pretty(&suite).expect("serializable"));
         return ExitCode::SUCCESS;
     };
     let baseline = match std::fs::read_to_string(path)
@@ -742,6 +747,18 @@ fn fleet_bench(args: &[String]) -> ExitCode {
             "fleet perf check passed: {} configuration(s) within tolerance {tolerance}",
             suite.configs.len()
         );
+        // One signed delta per metric, so CI logs keep a trend record.
+        for (key, report) in &suite.configs {
+            let Some(metrics) = baseline.get(key) else { continue };
+            for (name, value) in &report.metrics {
+                if let Some(&b) = metrics.get(name) {
+                    println!(
+                        "  trend {key}/{name}: {:+.1}% vs baseline",
+                        100.0 * (value / b - 1.0)
+                    );
+                }
+            }
+        }
         ExitCode::SUCCESS
     } else {
         eprintln!("fleet perf check FAILED:");

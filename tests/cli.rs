@@ -202,6 +202,31 @@ fn tune_report_emits_json_and_self_checks() {
     std::fs::remove_file(&baseline).unwrap();
 }
 
+/// Without `--check` the fleet benchmark prints the suite JSON that
+/// `BENCH_fleet.json` holds; checking against it prints one trend line
+/// per metric.
+#[test]
+fn fleet_bench_records_a_baseline_and_checks_it() {
+    let args = ["fleet", "bench", "--shards", "2", "--ops", "400"];
+    let out = hpceval(&args);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("\"configs\"") && text.contains("\"s2_c8_d16\""), "{text}");
+    let baseline = std::env::temp_dir().join(format!("fleet-cli-{}.json", std::process::id()));
+    std::fs::write(&baseline, &text).unwrap();
+    let path = baseline.to_str().unwrap().to_string();
+    let mut check = args.to_vec();
+    // Timings of two tiny runs differ; the tolerance only has to admit that.
+    check.extend(["--check", &path, "--tolerance", "1000"]);
+    let out = hpceval(&check);
+    std::fs::remove_file(&baseline).unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}\n{}", stderr(&out));
+    for metric in ["ops_per_sec", "p50_us", "p99_us"] {
+        assert!(text.contains(&format!("trend s2_c8_d16/{metric}:")), "{text}");
+    }
+}
+
 /// status/drain against a daemon that isn't there must fail, not hang.
 #[test]
 fn client_commands_fail_fast_without_a_daemon() {
