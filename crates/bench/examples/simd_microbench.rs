@@ -5,7 +5,7 @@
 //! the bitwise vector paths (avx2, avx512, neon) and the opt-in fused
 //! tier (fma) — printing best-of-5 wall times and each tier's speedup
 //! over scalar. This is the triage tool behind the EXPERIMENTS.md
-//! sweep rows: kernel-level speedups (`kernel_perf`) decompose into
+//! sweep rows: kernel-level speedups (`hpceval bench kernels`) decompose into
 //! these per-op numbers — e.g. the dot keeps its full vector gain at
 //! any footprint while axpy/triad collapse toward 1× beyond L1, where
 //! the memory bus, not the instruction width, is the limit; the fused

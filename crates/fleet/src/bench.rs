@@ -1,6 +1,6 @@
-//! The `hpceval fleet bench` sustained-load harness: many clients hammering a
-//! sharded fleet through the router, measuring front-end round-trip
-//! latency and throughput.
+//! The fleet sustained-load harness behind `hpceval bench fleet`: many
+//! clients hammering a sharded fleet through the router, measuring
+//! front-end round-trip latency and throughput.
 //!
 //! # What it exercises
 //!
@@ -17,11 +17,11 @@
 //! # What it records
 //!
 //! Per-operation wall latency (client-side, connect excluded) merged
-//! across clients into p50/p99, plus aggregate ops/s. `hpceval fleet
-//! bench` prints these in the `BENCH_fleet.json` format; CI re-runs a scaled-down load
-//! and fails on drift beyond `--tolerance`, exactly like the
-//! `BENCH_kernels.json` gate: latencies regress *upward*, throughput
-//! regresses *downward*, and metric-set drift fails both ways.
+//! across clients into p50/p99, plus aggregate ops/s. `hpceval bench
+//! fleet` prints these in the `BENCH_fleet.json` format; CI re-runs a
+//! scaled-down load and gates it with the one baseline checker
+//! (`hpceval::bench`), which declares `p50_us`/`p99_us` lower-is-better
+//! and `ops_per_sec` higher-is-better.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use crate::client::FleetClient;
 use crate::daemon::{Fleet, FleetConfig};
@@ -290,112 +290,6 @@ pub fn run_suite(configs: &[BenchOptions]) -> Result<BenchSuite, FleetError> {
     Ok(BenchSuite { configs: suite })
 }
 
-/// Parse a suite-format `BENCH_fleet.json` body down to per-config
-/// metric maps. A legacy single-config baseline (top-level `metrics`)
-/// is rejected with a regenerate hint.
-pub fn parse_baseline(json: &str) -> Result<BTreeMap<String, BTreeMap<String, f64>>, String> {
-    let v: Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    let Some(configs) = v.get("configs") else {
-        if v.get("metrics").is_some() {
-            return Err("legacy single-config baseline (top-level `metrics`) — regenerate it \
-                        with `hpceval fleet bench > BENCH_fleet.json` to get the per-configuration suite format"
-                .to_string());
-        }
-        return Err("baseline has no `configs` object".to_string());
-    };
-    let Value::Map(pairs) = configs else {
-        return Err("baseline `configs` is not an object".to_string());
-    };
-    pairs
-        .iter()
-        .map(|(key, entry)| {
-            baseline_metrics(entry)
-                .map(|m| (key.clone(), m))
-                .map_err(|e| format!("config {key}: {e}"))
-        })
-        .collect()
-}
-
-/// Compare every *measured* configuration against its baseline entry.
-/// A measured configuration missing from the baseline fails (the
-/// baseline is stale); baseline configurations this run did not
-/// measure are skipped, so a scaled-down CI leg (`--shards 4` only)
-/// checks against a full-sweep baseline.
-pub fn check_suite(
-    baseline: &BTreeMap<String, BTreeMap<String, f64>>,
-    suite: &BenchSuite,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (key, report) in &suite.configs {
-        match baseline.get(key) {
-            None => failures
-                .push(format!("config {key}: measured but missing from baseline — regenerate it")),
-            Some(base) => failures
-                .extend(check(base, report, tolerance).into_iter().map(|f| format!("{key}: {f}"))),
-        }
-    }
-    failures
-}
-
-/// Extract the `metrics` map from a parsed `BENCH_fleet.json`.
-pub fn baseline_metrics(v: &Value) -> Result<BTreeMap<String, f64>, String> {
-    let metrics = v.get("metrics").ok_or("baseline has no `metrics` object")?;
-    let Value::Map(pairs) = metrics else {
-        return Err("baseline `metrics` is not an object".to_string());
-    };
-    pairs
-        .iter()
-        .map(|(name, val)| {
-            val.as_f64()
-                .map(|m| (name.clone(), m))
-                .ok_or_else(|| format!("baseline metric {name:?} is not numeric"))
-        })
-        .collect()
-}
-
-/// Compare `current` against baseline metrics; one message per
-/// violation. Latency metrics (`*_us`) fail when they *rise* beyond
-/// `base·(1+tolerance)`; throughput (`ops_per_sec`) fails when it
-/// *falls* below `base/(1+tolerance)`; set drift fails both ways.
-pub fn check(
-    baseline: &BTreeMap<String, f64>,
-    current: &BenchReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, &base) in baseline {
-        let Some(&cur) = current.metrics.get(name) else {
-            failures.push(format!("{name}: in baseline but no longer measured"));
-            continue;
-        };
-        let higher_is_better = name == "ops_per_sec";
-        if higher_is_better {
-            let floor = base / (1.0 + tolerance);
-            if cur < floor {
-                failures.push(format!(
-                    "{name}: {cur:.0} vs baseline {base:.0} (floor {floor:.0} at tolerance \
-                     {tolerance})"
-                ));
-            }
-        } else {
-            let limit = base * (1.0 + tolerance);
-            if cur > limit {
-                failures.push(format!(
-                    "{name}: {cur:.1} vs baseline {base:.1} (limit {limit:.1} at tolerance \
-                     {tolerance})"
-                ));
-            }
-        }
-    }
-    for name in current.metrics.keys() {
-        if !baseline.contains_key(name) {
-            failures.push(format!("{name}: measured but missing from baseline — regenerate it"));
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,113 +302,6 @@ mod tests {
         assert_eq!(percentile_ns(&sorted, 0), 1.0);
         assert_eq!(percentile_ns(&sorted, 100), 100.0);
         assert_eq!(percentile_ns(&[], 50), 0.0);
-    }
-
-    fn report(metrics: &[(&str, f64)]) -> BenchReport {
-        BenchReport {
-            available_parallelism: 1,
-            threads: 1,
-            shards: 2,
-            clients: 2,
-            ops: 100,
-            submit_every: 10,
-            pipeline_depth: 16,
-            jobs_submitted: 10,
-            jobs_completed: 10,
-            elapsed_s: 1.0,
-            note: String::new(),
-            metrics: metrics.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-        }
-    }
-
-    fn metrics(list: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        list.iter().map(|&(n, v)| (n.to_string(), v)).collect()
-    }
-
-    #[test]
-    fn check_is_directional_per_metric() {
-        let base = metrics(&[("p50_us", 100.0), ("p99_us", 500.0), ("ops_per_sec", 10_000.0)]);
-        // Latency up beyond limit, throughput down below floor: 3 failures.
-        let bad = report(&[("p50_us", 300.0), ("p99_us", 1100.0), ("ops_per_sec", 4000.0)]);
-        assert_eq!(check(&base, &bad, 1.0).len(), 3);
-        // Latency *down* and throughput *up* are improvements, never failures.
-        let good = report(&[("p50_us", 10.0), ("p99_us", 50.0), ("ops_per_sec", 100_000.0)]);
-        assert!(check(&base, &good, 1.0).is_empty());
-        // Within tolerance in the bad direction also passes.
-        let close = report(&[("p50_us", 190.0), ("p99_us", 990.0), ("ops_per_sec", 5100.0)]);
-        assert!(check(&base, &close, 1.0).is_empty());
-    }
-
-    #[test]
-    fn check_flags_metric_set_drift_both_ways() {
-        let base = metrics(&[("p50_us", 100.0), ("gone_us", 1.0)]);
-        let cur = report(&[("p50_us", 100.0), ("new_us", 1.0)]);
-        let failures = check(&base, &cur, 1.0);
-        assert_eq!(failures.len(), 2, "{failures:?}");
-    }
-
-    #[test]
-    fn baseline_round_trips_through_the_suite_format() {
-        let suite = BenchSuite {
-            configs: [(
-                "s2_c2_d16".to_string(),
-                report(&[("p50_us", 12.5), ("ops_per_sec", 42.0)]),
-            )]
-            .into_iter()
-            .collect(),
-        };
-        let json = serde_json::to_string_pretty(&suite).unwrap();
-        let parsed = parse_baseline(&json).unwrap();
-        assert_eq!(parsed["s2_c2_d16"], metrics(&[("p50_us", 12.5), ("ops_per_sec", 42.0)]));
-    }
-
-    #[test]
-    fn malformed_baseline_is_rejected() {
-        for bad in [
-            "{}",
-            "{\"configs\": 3}",
-            "{\"configs\": {\"s2_c8_d16\": {}}}",
-            "{\"configs\": {\"s2_c8_d16\": {\"metrics\": {\"p50_us\": \"fast\"}}}}",
-        ] {
-            assert!(parse_baseline(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn legacy_single_config_baseline_demands_regeneration() {
-        let legacy = "{\"metrics\": {\"p50_us\": 471.4}}";
-        let err = parse_baseline(legacy).unwrap_err();
-        assert!(err.contains("regenerate"), "{err}");
-    }
-
-    #[test]
-    fn check_suite_covers_measured_configs_and_skips_unmeasured_baselines() {
-        let baseline: BTreeMap<String, BTreeMap<String, f64>> = [
-            ("s2_c2_d16".to_string(), metrics(&[("ops_per_sec", 10_000.0)])),
-            ("s8_c8_d16".to_string(), metrics(&[("ops_per_sec", 50_000.0)])),
-        ]
-        .into_iter()
-        .collect();
-        // Only the 2-shard config measured, and it regressed: one
-        // failure naming the config; the unmeasured 8-shard baseline
-        // entry is skipped.
-        let suite = BenchSuite {
-            configs: [("s2_c2_d16".to_string(), report(&[("ops_per_sec", 1_000.0)]))]
-                .into_iter()
-                .collect(),
-        };
-        let failures = check_suite(&baseline, &suite, 1.0);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("s2_c2_d16:"), "{failures:?}");
-        // A measured config absent from the baseline fails loudly.
-        let novel = BenchSuite {
-            configs: [("s4_c8_d16".to_string(), report(&[("ops_per_sec", 99_999.0)]))]
-                .into_iter()
-                .collect(),
-        };
-        let failures = check_suite(&baseline, &novel, 1.0);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("missing from baseline"), "{failures:?}");
     }
 
     #[test]

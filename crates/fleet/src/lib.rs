@@ -33,10 +33,11 @@
 //!   shard, many in-flight tagged requests per socket, per-socket
 //!   backpressure caps — and merges status/ranking responses; a dead
 //!   shard's WAL replays into a replacement bitwise.
-//! - **Sustained-load gate** ([`bench`]): the `hpceval fleet bench` harness
+//! - **Sustained-load harness** ([`bench`]): `hpceval bench fleet`
 //!   drives ≥1 M submit/status round-trips through the router across a
 //!   shard-count sweep (2/4/8) and records p50/p99 latency + ops/s per
-//!   configuration into `BENCH_fleet.json`, drift-checked in CI.
+//!   configuration into `BENCH_fleet.json`; CI gates a scaled-down run
+//!   with `hpceval bench fleet --check`.
 //! - **DVFS sweep driver** ([`sweep`]): runs every `hpceval-tune`
 //!   autotuner cell as a WAL-backed `Tune` job through the sharded
 //!   router; a killed shard's replay reproduces the energy-delay

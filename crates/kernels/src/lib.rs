@@ -37,6 +37,7 @@ pub mod fft;
 pub mod hpcc;
 pub mod hpl;
 pub mod npb;
+pub mod perf;
 pub mod rng;
 pub mod simd;
 pub mod streams;

@@ -19,8 +19,8 @@
 //! - [`plan`] — the sweep planner (feasibility-filtered enumeration).
 //! - [`frontier`] — exact Pareto dominance filtering and the
 //!   energy-/EDP-optimal picks.
-//! - [`report`] — the strict-JSON sweep report and the
-//!   `BENCH_tune.json` drift-gate contract.
+//! - [`report`] — the strict-JSON sweep report (the `BENCH_tune.json`
+//!   format).
 
 #![warn(missing_docs)]
 
@@ -34,4 +34,4 @@ pub use frontier::{
     canonical_order, dominates, kernel_frontiers, pareto_frontier, CellResult, KernelFrontier,
 };
 pub use plan::{plan_sweep, SweepOptions};
-pub use report::{baseline_metrics, build_report, check, parse_baseline, ServerReport, TuneReport};
+pub use report::{build_report, ServerReport, TuneReport};

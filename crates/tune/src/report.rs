@@ -1,18 +1,17 @@
-//! The strict-JSON sweep report and the `BENCH_tune.json` drift gate.
+//! The strict-JSON sweep report, the `BENCH_tune.json` format.
 //!
 //! The report is the artifact `hpceval tune sweep` writes and CI
-//! re-derives: per server, the paper's §V score (mean PPW at the
-//! nominal clock) next to what the DVFS sweep found — every kernel's
-//! energy-delay Pareto frontier and its energy-/EDP-optimal picks.
-//! The whole pipeline is deterministic, so the committed baseline is
-//! compared **two-sided**: a tuned metric that drifts in *either*
-//! direction beyond `--tolerance` means the model changed and the
-//! baseline must be regenerated deliberately, exactly like the
-//! `BENCH_kernels.json` / `BENCH_fleet.json` gates.
+//! re-derives with `hpceval bench tune`: per server, the paper's §V
+//! score (mean PPW at the nominal clock) next to what the DVFS sweep
+//! found — every kernel's energy-delay Pareto frontier and its
+//! energy-/EDP-optimal picks. The whole pipeline is deterministic, so
+//! the baseline gate (`hpceval::bench`) declares every metric `exact`:
+//! drift in *either* direction beyond `--tolerance` means the model
+//! changed and the baseline must be regenerated deliberately.
 
 use std::collections::BTreeMap;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use hpceval_core::evaluation::Evaluator;
 use hpceval_machine::presets;
@@ -86,61 +85,6 @@ pub fn build_report(results: &[CellResult], seed: u64) -> TuneReport {
     }
 }
 
-/// Parse a `BENCH_tune.json` file body down to its metrics map.
-pub fn parse_baseline(json: &str) -> Result<BTreeMap<String, f64>, String> {
-    let v = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    baseline_metrics(&v)
-}
-
-/// Extract the `metrics` map from a parsed `BENCH_tune.json`.
-pub fn baseline_metrics(v: &Value) -> Result<BTreeMap<String, f64>, String> {
-    let metrics = v.get("metrics").ok_or("baseline has no `metrics` object")?;
-    let Value::Map(pairs) = metrics else {
-        return Err("baseline `metrics` is not an object".to_string());
-    };
-    pairs
-        .iter()
-        .map(|(name, val)| {
-            val.as_f64()
-                .map(|m| (name.clone(), m))
-                .ok_or_else(|| format!("baseline metric {name:?} is not numeric"))
-        })
-        .collect()
-}
-
-/// Compare `current` against baseline metrics; one message per
-/// violation. The sweep is deterministic, so *any* drift beyond
-/// `base·(1±tolerance)` fails — in both directions — and so does
-/// metric-set drift.
-pub fn check(
-    baseline: &BTreeMap<String, f64>,
-    current: &TuneReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, &base) in baseline {
-        let Some(&cur) = current.metrics.get(name) else {
-            failures.push(format!("{name}: in baseline but no longer measured"));
-            continue;
-        };
-        let limit = base.abs() * (1.0 + tolerance);
-        let floor = base.abs() / (1.0 + tolerance);
-        let exact_zero = base == 0.0 && cur == 0.0;
-        let within = cur.abs() <= limit && cur.abs() >= floor && cur.signum() == base.signum();
-        if !(within || exact_zero) {
-            failures.push(format!(
-                "{name}: {cur} vs baseline {base} (two-sided tolerance {tolerance})"
-            ));
-        }
-    }
-    for name in current.metrics.keys() {
-        if !baseline.contains_key(name) {
-            failures.push(format!("{name}: measured but missing from baseline — regenerate it"));
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,20 +106,6 @@ mod tests {
                 CellResult { cell, measure }
             })
             .collect()
-    }
-
-    fn report(metrics: &[(&str, f64)]) -> TuneReport {
-        TuneReport {
-            seed: 42,
-            cells: 0,
-            note: String::new(),
-            servers: Vec::new(),
-            metrics: metrics.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-        }
-    }
-
-    fn metrics(list: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        list.iter().map(|&(n, v)| (n.to_string(), v)).collect()
     }
 
     #[test]
@@ -200,39 +130,5 @@ mod tests {
         shuffled.reverse();
         let b = serde_json::to_string_pretty(&build_report(&shuffled, 42)).unwrap();
         assert_eq!(a, b, "replay order must not change the report");
-    }
-
-    #[test]
-    fn check_is_two_sided() {
-        let base = metrics(&[("X.energy_opt_j", 100.0)]);
-        assert!(check(&base, &report(&[("X.energy_opt_j", 100.0)]), 0.01).is_empty());
-        assert!(check(&base, &report(&[("X.energy_opt_j", 100.5)]), 0.01).is_empty());
-        // Drift *down* fails too: deterministic metrics have no good
-        // direction.
-        assert_eq!(check(&base, &report(&[("X.energy_opt_j", 90.0)]), 0.01).len(), 1);
-        assert_eq!(check(&base, &report(&[("X.energy_opt_j", 110.0)]), 0.01).len(), 1);
-    }
-
-    #[test]
-    fn check_flags_metric_set_drift_both_ways() {
-        let base = metrics(&[("X.energy_opt_j", 100.0), ("gone", 1.0)]);
-        let failures = check(&base, &report(&[("X.energy_opt_j", 100.0), ("new", 1.0)]), 0.1);
-        assert_eq!(failures.len(), 2, "{failures:?}");
-    }
-
-    #[test]
-    fn baseline_round_trips_through_the_report_format() {
-        let rep = build_report(&tiny_results(), 42);
-        let json = serde_json::to_string_pretty(&rep).unwrap();
-        let parsed = parse_baseline(&json).unwrap();
-        assert_eq!(parsed, rep.metrics);
-        assert!(check(&parsed, &rep, 0.0).is_empty(), "self-check at zero tolerance");
-    }
-
-    #[test]
-    fn malformed_baseline_is_rejected() {
-        for bad in ["{}", "{\"metrics\": 3}", "{\"metrics\": {\"x\": \"fast\"}}"] {
-            assert!(parse_baseline(bad).is_err(), "{bad}");
-        }
     }
 }

@@ -11,10 +11,12 @@
 //! hpceval monitor <server> [seed]     streaming monitor with fault injection
 //! hpceval verify                      run every kernel's verification
 //! hpceval trace capture|replay|stats  address-trace capture and replay (JSON)
-//! hpceval fleet serve|route|submit|status|drain|shutdown|smoke|bench
+//! hpceval fleet serve|route|submit|status|drain|shutdown|smoke
 //!                                     fault-tolerant orchestration daemon
-//! hpceval tune sweep|frontier|report|smoke
+//! hpceval tune sweep|frontier|smoke
 //!                                     DVFS energy-optimal autotuner (JSON)
+//! hpceval bench kernels|fleet|tune [--check FILE --tolerance X]
+//!                                     record or gate a BENCH_*.json baseline
 //! ```
 //!
 //! Unknown subcommands and malformed flags print usage and exit
@@ -33,6 +35,7 @@ use hpceval::kernels::npb::{Class, Program};
 use hpceval::kernels::suite::Benchmark;
 use hpceval::machine::presets;
 use hpceval::machine::spec::ServerSpec;
+use serde::Serialize;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,9 +76,10 @@ fn main() -> ExitCode {
         Some("trace") => trace_cmd(&args[1..]),
         Some("fleet") => fleet_cmd(&args[1..]),
         Some("tune") => tune_cmd(&args[1..]),
+        Some("bench") => bench_cmd(&args[1..]),
         _ => {
             eprintln!(
-                "usage: hpceval <servers|evaluate|green500|specpower|rankings|study|train|monitor|report|cluster|verify|trace|fleet|tune> [server|seed]"
+                "usage: hpceval <servers|evaluate|green500|specpower|rankings|study|train|monitor|report|cluster|verify|trace|fleet|tune|bench> [server|seed]"
             );
             eprintln!(
                 "  monitor <server> [seed]: stream three simulated copies of <server> (one clean,\n\
@@ -418,7 +422,7 @@ fn trace_stats(args: &[String]) -> ExitCode {
 }
 
 const FLEET_USAGE: &str = "\
-usage: hpceval fleet <serve|route|submit|status|drain|shutdown|smoke|bench> [flags]
+usage: hpceval fleet <serve|route|submit|status|drain|shutdown|smoke> [flags]
   serve    --wal <path> [--addr HOST:PORT] [--workers N] [--queue-cap N]
            [--max-attempts N] [--crash-p X] [--straggler-p X]
            [--dropout-p X] [--fault-seed N]
@@ -431,14 +435,7 @@ usage: hpceval fleet <serve|route|submit|status|drain|shutdown|smoke|bench> [fla
   drain    [--addr HOST:PORT]
   shutdown [--addr HOST:PORT]
   smoke    [--seed N]   self-contained daemon smoke test (CI entry point)
-  bench    [--ops N] [--shards N[,N..]] [--clients N[,N..]]
-           [--pipeline-depth N[,N..]] [--submit-every N]
-           [--check BENCH_fleet.json] [--tolerance X]
-           in-process sustained load through the pipelined router;
-           comma lists sweep their cartesian product (default sweeps
-           2,4,8 shards) into per-configuration p50/p99 latency and
-           ops/s; prints the suite JSON (the BENCH_fleet.json format),
-           or with --check the drift verdict and per-metric trends";
+  (the sustained-load benchmark is `hpceval bench fleet`)";
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7621";
 const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:7620";
@@ -493,7 +490,6 @@ fn fleet_cmd(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("serve") => fleet_serve(&args[1..]),
         Some("route") => fleet_route(&args[1..]),
-        Some("bench") => fleet_bench(&args[1..]),
         Some("submit") => fleet_submit(&args[1..]),
         Some("status") => fleet_status(&args[1..]),
         Some("drain") => fleet_drain(&args[1..]),
@@ -646,127 +642,6 @@ fn parse_usize_list(key: &str, raw: &str) -> Result<Vec<usize>, String> {
         return Err(format!("--{key} needs at least one value"));
     }
     Ok(vals)
-}
-
-/// The fleet sustained-load benchmark. Without `--check` it prints the
-/// suite JSON, so the full default 2/4/8-shard sweep records the
-/// baseline (`hpceval fleet bench > BENCH_fleet.json`). CI runs a
-/// scaled-down gate in every matrix leg: small `--ops`, one swept
-/// configuration, and `--check BENCH_fleet.json`, which prints one
-/// trend line per metric on pass. The per-configuration summary goes to
-/// stderr so stdout stays machine-readable.
-fn fleet_bench(args: &[String]) -> ExitCode {
-    use hpceval::fleet::bench::{check_suite, expand_configs, parse_baseline, DEFAULT_SHARD_SWEEP};
-    use hpceval::fleet::{run_suite, BenchOptions};
-
-    let parsed = parse_flags(
-        args,
-        &["ops", "shards", "clients", "pipeline-depth", "submit-every", "check", "tolerance"],
-    );
-    let (flags, positional) = match parsed {
-        Ok(p) => p,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    if !positional.is_empty() {
-        return fleet_usage_error(&format!("unexpected argument {:?}", positional[0]));
-    }
-    let defaults = BenchOptions::default();
-    let base = match (|| -> Result<BenchOptions, String> {
-        Ok(BenchOptions {
-            ops: parse_flag(&flags, "ops", defaults.ops)?,
-            submit_every: parse_flag(&flags, "submit-every", defaults.submit_every)?,
-            ..defaults.clone()
-        })
-    })() {
-        Ok(o) => o,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let swept = |key: &str, default: Vec<usize>| -> Result<Vec<usize>, String> {
-        match flag(&flags, key) {
-            None => Ok(default),
-            Some(raw) => parse_usize_list(key, raw),
-        }
-    };
-    let shards = match swept("shards", DEFAULT_SHARD_SWEEP.to_vec()) {
-        Ok(v) => v,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let clients = match swept("clients", vec![defaults.clients]) {
-        Ok(v) => v,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let depths = match swept("pipeline-depth", vec![defaults.pipeline_depth]) {
-        Ok(v) => v,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let tolerance = match parse_flag(&flags, "tolerance", 3.0f64) {
-        Ok(t) if t >= 0.0 && t.is_finite() => t,
-        _ => return fleet_usage_error("--tolerance takes a non-negative number"),
-    };
-
-    let configs = expand_configs(&base, &shards, &clients, &depths);
-    let suite = match run_suite(&configs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fleet bench failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (key, report) in &suite.configs {
-        eprintln!(
-            "[{key}] {} ops over {} client(s), {} shard(s), depth {}: {:.2}s, {} job(s) completed",
-            report.ops,
-            report.clients,
-            report.shards,
-            report.pipeline_depth,
-            report.elapsed_s,
-            report.jobs_completed
-        );
-        for (name, value) in &report.metrics {
-            eprintln!("  {name}: {value:.1}");
-        }
-    }
-
-    let Some(path) = flag(&flags, "check") else {
-        println!("{}", serde_json::to_string_pretty(&suite).expect("serializable"));
-        return ExitCode::SUCCESS;
-    };
-    let baseline = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| parse_baseline(&s))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot load baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let failures = check_suite(&baseline, &suite, tolerance);
-    if failures.is_empty() {
-        println!(
-            "fleet perf check passed: {} configuration(s) within tolerance {tolerance}",
-            suite.configs.len()
-        );
-        // One signed delta per metric, so CI logs keep a trend record.
-        for (key, report) in &suite.configs {
-            let Some(metrics) = baseline.get(key) else { continue };
-            for (name, value) in &report.metrics {
-                if let Some(&b) = metrics.get(name) {
-                    println!(
-                        "  trend {key}/{name}: {:+.1}% vs baseline",
-                        100.0 * (value / b - 1.0)
-                    );
-                }
-            }
-        }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("fleet perf check FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        ExitCode::FAILURE
-    }
 }
 
 /// Parse `kind:server[:seed]` job specs.
@@ -1043,20 +918,15 @@ fn fleet_smoke(args: &[String]) -> ExitCode {
 }
 
 const TUNE_USAGE: &str = "\
-usage: hpceval tune <sweep|frontier|report|smoke> [flags]
+usage: hpceval tune <sweep|frontier|smoke> [flags]
   sweep    [--servers A,B] [--kernels a,b] [--seed N] [--max-states N]
            [--shards N] [--crash-p X] [--straggler-p X] [--dropout-p X]
-           [--fault-seed N] [--check BENCH_tune.json] [--tolerance X]
+           [--fault-seed N]
            run every planned DVFS cell as a WAL-backed fleet job through
-           the sharded router; print the strict-JSON report and
-           optionally drift-check it against a committed baseline
+           the sharded router; print the strict-JSON report
   frontier [--servers A,B] [--kernels a,b] [--seed N] [--max-states N]
            measure the cells in-process and print each server's §V
            score with its per-kernel energy-delay Pareto frontiers
-  report   [--servers A,B] [--kernels a,b] [--seed N] [--max-states N]
-           [--check BENCH_tune.json] [--tolerance X]
-           measure in-process and print the full report JSON (the
-           regeneration path for BENCH_tune.json)
   smoke    [--shards N]   tiny fault-injected sweep (two kernels, two
            DVFS states) cross-checked bitwise against the in-process
            measurement; the CI entry point for the tune matrix job
@@ -1073,7 +943,6 @@ fn tune_cmd(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("sweep") => tune_sweep(&args[1..]),
         Some("frontier") => tune_frontier(&args[1..]),
-        Some("report") => tune_report(&args[1..]),
         Some("smoke") => tune_smoke(&args[1..]),
         Some(other) => tune_usage_error(&format!("unknown tune subcommand {other:?}")),
         None => tune_usage_error("missing tune subcommand"),
@@ -1104,41 +973,8 @@ fn tune_options(flags: &[(&str, &str)]) -> Result<hpceval::tune::SweepOptions, S
     Ok(opts)
 }
 
-/// Optional `--check <baseline> [--tolerance X]` gate on a built report.
-fn tune_check(report: &hpceval::tune::TuneReport, flags: &[(&str, &str)]) -> ExitCode {
-    use hpceval::tune::{check, parse_baseline};
-    let Some(path) = flag(flags, "check") else {
-        return ExitCode::SUCCESS;
-    };
-    let tolerance = match parse_flag(flags, "tolerance", 0.001f64) {
-        Ok(t) if t >= 0.0 && t.is_finite() => t,
-        _ => return tune_usage_error("--tolerance takes a non-negative number"),
-    };
-    let baseline = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| parse_baseline(&s))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot load baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let failures = check(&baseline, report, tolerance);
-    if failures.is_empty() {
-        eprintln!("tune check passed: {} metrics within tolerance {tolerance}", baseline.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("tune check FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
 /// Run the planned cells in-process (no fleet) — the analysis path
-/// `tune frontier`/`tune report` share; the fleet path is proven
+/// `tune frontier` and `bench tune` share; the fleet path is proven
 /// bitwise-identical by `tests/tune_sweep.rs`.
 fn tune_measure_inline(
     opts: &hpceval::tune::SweepOptions,
@@ -1167,8 +1003,6 @@ fn tune_sweep(args: &[String]) -> ExitCode {
             "straggler-p",
             "dropout-p",
             "fault-seed",
-            "check",
-            "tolerance",
         ],
     );
     let (flags, positional) = match parsed {
@@ -1207,14 +1041,7 @@ fn tune_sweep(args: &[String]) -> ExitCode {
         }
     };
     let report = hpceval::tune::build_report(&results, opts.seed);
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => println!("{json}"),
-        Err(e) => {
-            eprintln!("cannot encode report: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    tune_check(&report, &flags)
+    print_json(&report)
 }
 
 fn tune_frontier(args: &[String]) -> ExitCode {
@@ -1232,42 +1059,146 @@ fn tune_frontier(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => return tune_usage_error(&e),
     };
-    match serde_json::to_string_pretty(&report.servers) {
+    print_json(&report.servers)
+}
+
+const BENCH_USAGE: &str = "\
+usage: hpceval bench <kernels|fleet|tune> [--check BASELINE --tolerance X]
+  kernels  every NPB and HPCC kernel, best-of-3 wall seconds at pinned
+           sizes (BENCH_kernels.json); gates kernels.*.seconds, lower
+           is better, once the simd and tiles stamps match
+  fleet    [--ops N] [--shards N[,N..]] [--clients N[,N..]]
+           [--pipeline-depth N[,N..]] [--submit-every N]
+           in-process sustained load through the pipelined router; comma
+           lists sweep their cartesian product (default sweeps 2,4,8
+           shards) (BENCH_fleet.json); gates p50_us and p99_us lower,
+           ops_per_sec higher, per measured configuration
+  tune     the in-process DVFS sweep report at the default sweep
+           (BENCH_tune.json); gates every metrics.* value exact
+  Without --check, stdout is the suite JSON: redirect it to re-record
+  the baseline. --check needs --tolerance X: lower fails above
+  base*(1+X), higher below base/(1+X), exact outside both or on a sign
+  flip; metric-set drift fails both ways.";
+
+fn bench_usage_error(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    eprintln!("{BENCH_USAGE}");
+    ExitCode::FAILURE
+}
+
+/// Print `value` as pretty JSON on stdout.
+fn print_json(value: &impl Serialize) -> ExitCode {
+    match serde_json::to_string_pretty(value) {
         Ok(json) => {
             println!("{json}");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("cannot encode frontiers: {e}");
+            eprintln!("cannot encode JSON: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn tune_report(args: &[String]) -> ExitCode {
-    let parsed =
-        parse_flags(args, &["servers", "kernels", "seed", "max-states", "check", "tolerance"]);
-    let (flags, positional) = match parsed {
+/// `hpceval bench <suite>`: run the suite, then print its JSON (the
+/// committed baseline format) or, under `--check`, gate it against the
+/// baseline through the suite's declaration (`hpceval::bench`).
+fn bench_cmd(args: &[String]) -> ExitCode {
+    let Some(suite) = args.first().and_then(|name| hpceval::bench::suite(name)) else {
+        return bench_usage_error(&match args.first() {
+            Some(name) => format!("unknown bench suite {name:?}"),
+            None => "missing bench suite".to_string(),
+        });
+    };
+    let known: Vec<&str> =
+        ["check", "tolerance"].into_iter().chain(suite.flags.iter().copied()).collect();
+    let (flags, positional) = match parse_flags(&args[1..], &known) {
         Ok(p) => p,
-        Err(e) => return tune_usage_error(&e),
+        Err(e) => return bench_usage_error(&e),
     };
     if !positional.is_empty() {
-        return tune_usage_error(&format!("unexpected argument {:?}", positional[0]));
+        return bench_usage_error(&format!("unexpected argument {:?}", positional[0]));
     }
-    let report = match tune_options(&flags).and_then(|opts| {
-        tune_measure_inline(&opts).map(|r| hpceval::tune::build_report(&r, opts.seed))
-    }) {
-        Ok(r) => r,
-        Err(e) => return tune_usage_error(&e),
+    let gate = match hpceval::bench::parse_gate(flag(&flags, "check"), flag(&flags, "tolerance")) {
+        Ok(g) => g,
+        Err(e) => return bench_usage_error(&e),
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => println!("{json}"),
+    let report = match suite.name {
+        "kernels" => Ok(hpceval::kernels::perf::measure().to_value()),
+        "fleet" => match bench_fleet_configs(&flags) {
+            Ok(configs) => bench_fleet(&configs),
+            Err(e) => return bench_usage_error(&e),
+        },
+        "tune" => {
+            let opts = hpceval::tune::SweepOptions::default();
+            tune_measure_inline(&opts)
+                .map(|results| hpceval::tune::build_report(&results, opts.seed).to_value())
+        }
+        other => Err(format!("no measurement for suite {other:?}")),
+    };
+    let report = match report {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("cannot encode report: {e}");
+            eprintln!("bench {} failed: {e}", suite.name);
             return ExitCode::FAILURE;
         }
+    };
+    let Some(gate) = gate else {
+        return print_json(&report);
+    };
+    match hpceval::bench::gate(suite, &report, &gate) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
-    tune_check(&report, &flags)
+}
+
+/// The fleet sweep the `--ops/--shards/--clients/--pipeline-depth/
+/// --submit-every` flags ask for.
+fn bench_fleet_configs(
+    flags: &[(&str, &str)],
+) -> Result<Vec<hpceval::fleet::BenchOptions>, String> {
+    use hpceval::fleet::bench::{expand_configs, DEFAULT_SHARD_SWEEP};
+    let defaults = hpceval::fleet::BenchOptions::default();
+    let base = hpceval::fleet::BenchOptions {
+        ops: parse_flag(flags, "ops", defaults.ops)?,
+        submit_every: parse_flag(flags, "submit-every", defaults.submit_every)?,
+        ..defaults.clone()
+    };
+    let swept = |key: &str, default: Vec<usize>| match flag(flags, key) {
+        None => Ok(default),
+        Some(raw) => parse_usize_list(key, raw),
+    };
+    Ok(expand_configs(
+        &base,
+        &swept("shards", DEFAULT_SHARD_SWEEP.to_vec())?,
+        &swept("clients", vec![defaults.clients])?,
+        &swept("pipeline-depth", vec![defaults.pipeline_depth])?,
+    ))
+}
+
+/// Run the fleet sweep, summarising each configuration on stderr so
+/// stdout stays machine-readable.
+fn bench_fleet(configs: &[hpceval::fleet::BenchOptions]) -> Result<serde::Value, String> {
+    let suite = hpceval::fleet::run_suite(configs).map_err(|e| e.to_string())?;
+    for (key, report) in &suite.configs {
+        eprintln!(
+            "[{key}] {} ops over {} client(s), {} shard(s), depth {}: {:.2}s, {} job(s) completed",
+            report.ops,
+            report.clients,
+            report.shards,
+            report.pipeline_depth,
+            report.elapsed_s,
+            report.jobs_completed
+        );
+        for (name, value) in &report.metrics {
+            eprintln!("  {name}: {value:.1}");
+        }
+    }
+    Ok(suite.to_value())
 }
 
 /// Self-contained tune smoke test: a tiny two-kernel, two-state sweep

@@ -23,7 +23,10 @@
 //!   injection with retry/backoff, and a TCP wire protocol + client.
 //! * [`tune`] — the DVFS-aware autotuner: deterministic sweep planning
 //!   over frequency state × core count × kernel, energy-delay Pareto
-//!   frontier analysis, and the `BENCH_tune.json` drift gate.
+//!   frontier analysis, and the `BENCH_tune.json` report.
+//! * [`bench`] — the one gate for every committed `BENCH_*.json`
+//!   baseline: per-suite declared metric directions, one extractor,
+//!   one checker (`hpceval bench <kernels|fleet|tune>`).
 //!
 //! ## Quickstart
 //!
@@ -36,6 +39,8 @@
 //! println!("{}", table.render());
 //! assert!(table.final_score() > 0.0);
 //! ```
+
+pub mod bench;
 
 pub use hpceval_core as core;
 pub use hpceval_fleet as fleet;

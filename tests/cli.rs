@@ -41,14 +41,7 @@ fn malformed_fleet_invocations_print_fleet_usage_and_fail() {
         &["fleet", "route"],                                    // missing required --shards
         &["fleet", "route", "--shards", ","],                   // no addresses in list
         &["fleet", "route", "--relay", "x"],                    // unknown flag
-        &["fleet", "bench", "--ops", "many"],                   // bad number
-        &["fleet", "bench", "--tolerance", "-1"],               // negative tolerance
-        &["fleet", "bench", "extra"],                           // stray positional
-        &["fleet", "bench", "--shards", "0"],                   // zero shard count
-        &["fleet", "bench", "--shards", "2,x"],                 // junk in the list
-        &["fleet", "bench", "--clients", ""],                   // empty list
-        &["fleet", "bench", "--pipeline-depth", "x"],           // non-numeric depth
-        &["fleet", "bench", "--pipeline-depth", "0"],           // zero depth
+        &["fleet", "bench"],                                    // now `hpceval bench fleet`
     ];
     for args in cases {
         let out = hpceval(args);
@@ -56,6 +49,37 @@ fn malformed_fleet_invocations_print_fleet_usage_and_fail() {
         assert!(
             stderr(&out).contains("usage: hpceval fleet"),
             "{args:?} must print fleet usage, got: {}",
+            stderr(&out)
+        );
+    }
+}
+
+/// Every malformed `bench` invocation fails before measuring anything.
+#[test]
+fn malformed_bench_invocations_print_bench_usage_and_fail() {
+    let cases: &[&[&str]] = &[
+        &["bench"],                                                    // missing suite
+        &["bench", "scaling"],                                         // unknown suite
+        &["bench", "kernels", "--check", "BENCH_kernels.json"], // --check without --tolerance
+        &["bench", "tune", "--check", "b.json", "--tolerance", "-1"], // negative tolerance
+        &["bench", "tune", "--check", "b.json", "--tolerance", "NaN"], // NaN tolerance
+        &["bench", "tune", "--tolerance", "0"],                 // --tolerance without --check
+        &["bench", "kernels", "--json"],                        // no such flag
+        &["bench", "kernels", "--shards", "2"],                 // fleet flag on another suite
+        &["bench", "tune", "extra"],                            // stray positional
+        &["bench", "fleet", "--ops", "many"],                   // bad number
+        &["bench", "fleet", "--shards", "0"],                   // zero shard count
+        &["bench", "fleet", "--shards", "2,x"],                 // junk in the list
+        &["bench", "fleet", "--clients", ""],                   // empty list
+        &["bench", "fleet", "--pipeline-depth", "x"],           // non-numeric depth
+        &["bench", "fleet", "--pipeline-depth", "0"],           // zero depth
+    ];
+    for args in cases {
+        let out = hpceval(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr(&out).contains("usage: hpceval bench"),
+            "{args:?} must print bench usage, got: {}",
             stderr(&out)
         );
     }
@@ -139,18 +163,20 @@ fn trace_capture_and_replay_emit_json() {
 #[test]
 fn malformed_tune_invocations_print_tune_usage_and_fail() {
     let cases: &[&[&str]] = &[
-        &["tune"],                                  // missing subcommand
-        &["tune", "explode"],                       // unknown subcommand
-        &["tune", "report", "--servers", "cray-1"], // unknown server
-        &["tune", "report", "--kernels", "warp"],   // unknown kernel
-        &["tune", "report", "--servers", ","],      // empty list
-        &["tune", "report", "--seed", "many"],      // bad number
-        &["tune", "report", "--bogus", "1"],        // unknown flag
-        &["tune", "report", "extra"],               // stray positional
-        &["tune", "sweep", "--crash-p", "lots"],    // bad number
-        &["tune", "frontier", "--check", "x"],      // check not a frontier flag
-        &["tune", "smoke", "--shards", "0"],        // shardless sweep
-        &["tune", "smoke", "--seed", "1"],          // smoke has no --seed
+        &["tune"],                                    // missing subcommand
+        &["tune", "explode"],                         // unknown subcommand
+        &["tune", "frontier", "--servers", "cray-1"], // unknown server
+        &["tune", "frontier", "--kernels", "warp"],   // unknown kernel
+        &["tune", "frontier", "--servers", ","],      // empty list
+        &["tune", "frontier", "--seed", "many"],      // bad number
+        &["tune", "frontier", "--bogus", "1"],        // unknown flag
+        &["tune", "frontier", "extra"],               // stray positional
+        &["tune", "sweep", "--crash-p", "lots"],      // bad number
+        &["tune", "frontier", "--check", "x"],        // the gate is `hpceval bench tune`
+        &["tune", "sweep", "--tolerance", "0"],       // nor a sweep flag
+        &["tune", "report", "--check", "x"],          // the report is `hpceval bench tune`
+        &["tune", "smoke", "--shards", "0"],          // shardless sweep
+        &["tune", "smoke", "--seed", "1"],            // smoke has no --seed
     ];
     for args in cases {
         let out = hpceval(args);
@@ -173,13 +199,12 @@ fn tune_smoke_passes() {
     assert!(text.contains("tune smoke: OK"), "{text}");
 }
 
-/// `tune report` prints the strict-JSON report and self-checks against
-/// its own output at zero drift.
+/// `hpceval bench tune` prints the strict-JSON report — byte for byte
+/// the committed `BENCH_tune.json` — and self-checks against its own
+/// output at zero drift.
 #[test]
 fn tune_report_emits_json_and_self_checks() {
-    let args =
-        &["tune", "report", "--servers", "Xeon-E5462", "--kernels", "ep", "--max-states", "2"];
-    let out = hpceval(args);
+    let out = hpceval(&["bench", "tune"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     for key in [
@@ -191,23 +216,24 @@ fn tune_report_emits_json_and_self_checks() {
     ] {
         assert!(text.contains(key), "missing {key} in {text}");
     }
+    assert_eq!(text, include_str!("../BENCH_tune.json"), "bench tune re-records BENCH_tune.json");
     let baseline = std::env::temp_dir().join(format!("tune-cli-{}.json", std::process::id()));
     std::fs::write(&baseline, &text).unwrap();
-    let mut check = args.to_vec();
-    let path = baseline.to_str().unwrap().to_string();
-    check.extend(["--check", &path, "--tolerance", "0"]);
-    let out = hpceval(&check);
-    assert!(out.status.success(), "self-check at zero tolerance: {}", stderr(&out));
-    assert_eq!(text, String::from_utf8_lossy(&out.stdout), "report must be deterministic");
+    let path = baseline.to_str().unwrap();
+    let out = hpceval(&["bench", "tune", "--check", path, "--tolerance", "0"]);
     std::fs::remove_file(&baseline).unwrap();
+    let verdict = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "self-check at zero tolerance: {verdict}{}", stderr(&out));
+    assert!(verdict.contains("tune check passed: 12 metric(s)"), "{verdict}");
+    assert!(verdict.contains("trend metrics.Xeon-E5462.energy_opt_j: +0.0%"), "{verdict}");
 }
 
 /// Without `--check` the fleet benchmark prints the suite JSON that
 /// `BENCH_fleet.json` holds; checking against it prints one trend line
-/// per metric.
+/// per gated metric.
 #[test]
 fn fleet_bench_records_a_baseline_and_checks_it() {
-    let args = ["fleet", "bench", "--shards", "2", "--ops", "400"];
+    let args = ["bench", "fleet", "--shards", "2", "--ops", "400"];
     let out = hpceval(&args);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
@@ -223,7 +249,7 @@ fn fleet_bench_records_a_baseline_and_checks_it() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{text}\n{}", stderr(&out));
     for metric in ["ops_per_sec", "p50_us", "p99_us"] {
-        assert!(text.contains(&format!("trend s2_c8_d16/{metric}:")), "{text}");
+        assert!(text.contains(&format!("trend configs.s2_c8_d16.metrics.{metric}:")), "{text}");
     }
 }
 
